@@ -37,7 +37,6 @@ from .graph import (
     DynamicNetwork,
     FrameGraph,
     aggregate,
-    closeness,
     closeness_all,
 )
 from .ingest import (
@@ -50,7 +49,6 @@ from .ingest import (
     build_frames,
     expand_teams,
     load_log,
-    network_from_records,
     parse_log,
     team_participations,
     typed_network,
@@ -111,7 +109,6 @@ __all__ = [
     "betweenness",
     "build_frames",
     "classify",
-    "closeness",
     "closeness_all",
     "coverage",
     "coverage_curve",
@@ -130,7 +127,6 @@ __all__ = [
     "match",
     "member_profiles",
     "modularity",
-    "network_from_records",
     "large_preset",
     "parse_log",
     "planted_partition",

@@ -160,13 +160,12 @@ def density(agraph: AbstractGraph, node_class: str | None = None) -> float:
     return 2.0 * links / (n * (n - 1))
 
 
-def betweenness(agraph: AbstractGraph, normalized: bool = False) -> dict[NodeKey, float]:
+def betweenness(agraph: AbstractGraph) -> dict[NodeKey, float]:
     """Shortest-path betweenness of every community node.
 
     For each unordered node pair (m, n), a node z != m, n accrues the
     fraction of shortest m-n paths passing through it.  Paths are hop-based
-    (edge weights do not shorten them).  ``normalized`` divides by the pair
-    count (N-1)(N-2)/2.
+    (edge weights do not shorten them).
     """
     order = list(agraph._adj)
     score = {v: 0.0 for v in order}
@@ -195,12 +194,8 @@ def betweenness(agraph: AbstractGraph, normalized: bool = False) -> dict[NodeKey
                 delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
             if w != source:
                 score[w] += delta[w]
-    n = len(order)
-    scale = 0.5  # each unordered pair was counted from both endpoints
-    if normalized:
-        pairs = (n - 1) * (n - 2) / 2.0
-        scale = 0.0 if pairs <= 0 else 0.5 / pairs
-    return {v: value * scale for v, value in score.items()}
+    # each unordered pair was counted from both endpoints
+    return {v: value * 0.5 for v, value in score.items()}
 
 
 def edge_weight_shares(agraph: AbstractGraph) -> tuple[float, float, float]:

@@ -91,20 +91,26 @@ def _renumber(assignment: Mapping[str, int]) -> dict[str, int]:
     return {node: remap[c] for node, c in sorted(assignment.items())}
 
 
-def _one_level(
+def _move_nodes(
     adj: list[dict[int, float]],
-    loop: list[float],
     k: list[float],
+    com: list[int],
+    order: Sequence[int],
     m2: float,
-    rng: random.Random,
-    resolution: float,
-) -> tuple[list[int], bool]:
-    """Local-move phase on the current level graph; returns (communities, moved)."""
-    n = len(adj)
-    com = list(range(n))
-    tot = list(k)
-    order = list(range(n))
-    rng.shuffle(order)
+    isolate: bool,
+) -> bool:
+    """Local-move phase of Blondel et al. (2008), applied to ``com`` in place.
+
+    Sweeps the nodes in ``order``, moving each to the neighbouring community
+    with the largest modularity gain (ties keep the node where it is, else
+    pick the smallest label), until a sweep makes no move.  With
+    ``isolate``, a node whose every option loses modularity moves to a fresh
+    singleton community instead.  Returns whether any node moved.
+    """
+    tot: dict[int, float] = {}
+    for v, c in enumerate(com):
+        tot[c] = tot.get(c, 0.0) + k[v]
+    next_label = max(com, default=-1) + 1
     moved_any = False
     for _sweep in range(_MAX_SWEEPS):
         moves = 0
@@ -116,101 +122,52 @@ def _one_level(
                 nbw[cu] = nbw.get(cu, 0.0) + w
             # gains are relative to v sitting alone outside any community
             tot[cv] -= k[v]
-            stay = nbw.get(cv, 0.0) - resolution * k[v] * tot[cv] / m2
-            best_c, best_gain = cv, stay
+            best_c, best_gain = cv, nbw.get(cv, 0.0) - k[v] * tot[cv] / m2
             for c in sorted(nbw):
                 if c == cv:
                     continue
-                gain = nbw[c] - resolution * k[v] * tot[c] / m2
+                gain = nbw[c] - k[v] * tot[c] / m2
                 if gain > best_gain + _EPS or (
                     gain > best_gain - _EPS and best_c != cv and c < best_c
                 ):
                     best_c, best_gain = c, gain
+            if isolate and best_gain < -_EPS:
+                # isolating v (gain exactly 0) beats every existing option
+                best_c = next_label
+                next_label += 1
             com[v] = best_c
-            tot[best_c] += k[v]
+            tot[best_c] = tot.get(best_c, 0.0) + k[v]
             if best_c != cv:
                 moves += 1
-                moved_any = True
         if moves == 0:
             break
-    return com, moved_any
+        moved_any = True
+    return moved_any
 
 
 def _collapse(
-    adj: list[dict[int, float]],
-    loop: list[float],
-    com: list[int],
-) -> tuple[list[dict[int, float]], list[float], list[float]]:
-    """Aggregate the level graph by its communities."""
-    labels = sorted(set(com))
-    remap = {lab: i for i, lab in enumerate(labels)}
-    size = len(labels)
-    new_adj: list[dict[int, float]] = [{} for _ in range(size)]
-    new_loop = [0.0] * size
-    for v, row in enumerate(adj):
-        cv = remap[com[v]]
-        new_loop[cv] += loop[v]
-        for u, w in row.items():
-            cu = remap[com[u]]
-            if cu == cv:
-                if u > v:
-                    new_loop[cv] += w
-            else:
-                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-    new_k = [sum(new_adj[i].values()) + 2.0 * new_loop[i] for i in range(size)]
-    return new_adj, new_loop, new_k
+    adj: list[dict[int, float]], k: list[float], com: list[int]
+) -> tuple[list[dict[int, float]], list[float]]:
+    """Aggregate the level graph by its communities (labels dense 0..C-1).
 
-
-def _refine(
-    graph: FrameGraph, assignment: dict[str, int], resolution: float, m2: float
-) -> dict[str, int]:
-    """Node-level polish on the original graph.
-
-    Sweeps every node (sorted order) and applies any strictly improving move
-    to a neighbouring community or to a fresh singleted community, until a
-    full sweep makes no move.  Guarantees local optimality under single-node
-    moves, which the collapsed phases alone do not.
+    Intra-community weight becomes a self-loop, which only shows in the
+    super-node's strength; strengths are sums of integer weights, so adding
+    them up per community is exact.
     """
-    com = dict(assignment)
-    tot: dict[int, float] = {}
-    strength = {v: float(graph.strength(v)) for v in graph.nodes}
-    for v, c in com.items():
-        tot[c] = tot.get(c, 0.0) + strength[v]
-    next_label = max(com.values(), default=-1) + 1
-    for _sweep in range(_MAX_SWEEPS):
-        moves = 0
-        for v in graph.nodes:
-            cv = com[v]
-            nbw: dict[int, float] = {}
-            for u, w in graph.neighbors(v).items():
-                cu = com[u]
-                nbw[cu] = nbw.get(cu, 0.0) + w
-            tot[cv] -= strength[v]
-            stay = nbw.get(cv, 0.0) - resolution * strength[v] * tot[cv] / m2
-            best_c, best_gain = cv, stay
-            for c in sorted(nbw):
-                if c == cv:
-                    continue
-                gain = nbw[c] - resolution * strength[v] * tot[c] / m2
-                if gain > best_gain + _EPS or (
-                    gain > best_gain - _EPS and best_c != cv and c < best_c
-                ):
-                    best_c, best_gain = c, gain
-            if best_gain < -_EPS:
-                # isolating v (gain exactly 0) beats every existing option
-                best_c, best_gain = next_label, 0.0
-            com[v] = best_c
-            tot[best_c] = tot.get(best_c, 0.0) + strength[v]
-            if best_c != cv:
-                moves += 1
-                if best_c == next_label:
-                    next_label += 1
-        if moves == 0:
-            break
-    return com
+    size = max(com) + 1
+    new_adj: list[dict[int, float]] = [{} for _ in range(size)]
+    new_k = [0.0] * size
+    for v, row in enumerate(adj):
+        cv = com[v]
+        new_k[cv] += k[v]
+        for u, w in row.items():
+            cu = com[u]
+            if cu != cv:
+                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+    return new_adj, new_k
 
 
-def detect(graph: FrameGraph, seed: int = 42, resolution: float = 1.0) -> Partition:
+def detect(graph: FrameGraph, seed: int = 42) -> Partition:
     """Detect communities in one frame graph.
 
     Edgeless graphs (including the empty graph) cannot be scored, so they
@@ -226,22 +183,26 @@ def detect(graph: FrameGraph, seed: int = 42, resolution: float = 1.0) -> Partit
     adj: list[dict[int, float]] = [
         {index[u]: float(w) for u, w in graph.neighbors(v).items()} for v in nodes
     ]
-    loop = [0.0] * len(nodes)
     k = [float(graph.strength(v)) for v in nodes]
+    adj0, k0 = adj, k
     m2 = 2.0 * graph.total_weight
     rng = random.Random(seed)
     chain = list(range(len(nodes)))
     while True:
-        com, moved = _one_level(adj, loop, k, m2, rng, resolution)
-        labels = sorted(set(com))
-        remap = {lab: i for i, lab in enumerate(labels)}
-        chain = [remap[com[cur]] for cur in chain]
-        if not moved or len(labels) == len(adj):
+        com = list(range(len(adj)))
+        order = list(range(len(adj)))
+        rng.shuffle(order)
+        moved = _move_nodes(adj, k, com, order, m2, isolate=False)
+        remap = {lab: i for i, lab in enumerate(sorted(set(com)))}
+        com = [remap[c] for c in com]
+        chain = [com[cur] for cur in chain]
+        if not moved or len(remap) == len(adj):
             break
-        adj, loop, k = _collapse(adj, loop, com)
-    assignment = {nodes[i]: chain[i] for i in range(len(nodes))}
-    assignment = _refine(graph, assignment, resolution, m2)
-    assignment = _renumber(assignment)
+        adj, k = _collapse(adj, k, com)
+    # polish on the original graph: the collapsed phases alone do not make
+    # the partition locally optimal under single-node moves
+    _move_nodes(adj0, k0, chain, range(len(nodes)), m2, isolate=True)
+    assignment = _renumber({nodes[i]: chain[i] for i in range(len(nodes))})
     return Partition(graph.frame_index, assignment, modularity(graph, assignment))
 
 
@@ -261,16 +222,13 @@ class FramePartitionSet:
     degenerate_frames: list[int] = field(default_factory=list)
 
 
-def detect_all(
-    frames: Sequence[FrameGraph], seed: int = 42, resolution: float = 1.0
-) -> FramePartitionSet:
+def detect_all(frames: Sequence[FrameGraph], seed: int = 42) -> FramePartitionSet:
     """Run detection over a frame sequence with per-frame derived seeds."""
     partitions = []
     analyzed = []
     degenerate = []
     for frame in frames:
-        part = detect(frame, seed=seed + 1000003 * (frame.frame_index + 1),
-                      resolution=resolution)
+        part = detect(frame, seed=seed + 1000003 * (frame.frame_index + 1))
         partitions.append(part)
         if len(frame) > 0:
             analyzed.append(frame.frame_index)

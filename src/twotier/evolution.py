@@ -17,7 +17,7 @@ apart from a brand-new formation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -165,60 +165,12 @@ class Timeline:
     tracks: dict[int, list[CommunityRef]]
     track_of: dict[CommunityRef, int]
 
-    def entry_labels(self) -> dict[CommunityRef, EventKind]:
-        """The single entry-side label of every occurrence.
-
-        When an occurrence appears in several records (a merge whose
-        predecessor also split), the stronger classification wins:
-        Merge > Split > Grow/Shrink/Continue > ReEmerge/Form.
-        """
-        rank = {
-            EventKind.MERGE: 0,
-            EventKind.SPLIT: 1,
-            EventKind.GROW: 2,
-            EventKind.SHRINK: 2,
-            EventKind.CONTINUE: 2,
-            EventKind.REEMERGE: 3,
-            EventKind.FORM: 3,
-        }
-        labels: dict[CommunityRef, tuple[int, EventKind]] = {}
-        for event in self.events:
-            if event.kind not in rank:
-                continue
-            for ref in event.successors:
-                current = labels.get(ref)
-                if current is None or rank[event.kind] < current[0]:
-                    labels[ref] = (rank[event.kind], event.kind)
-        return {ref: kind for ref, (_r, kind) in labels.items()}
-
-    def exit_labels(self) -> dict[CommunityRef, EventKind]:
-        """The single exit-side label of every non-final occurrence."""
-        rank = {
-            EventKind.MERGE: 0,
-            EventKind.SPLIT: 1,
-            EventKind.GROW: 2,
-            EventKind.SHRINK: 2,
-            EventKind.CONTINUE: 2,
-            EventKind.SUSPEND: 3,
-            EventKind.DISSOLVE: 3,
-        }
-        labels: dict[CommunityRef, tuple[int, EventKind]] = {}
-        for event in self.events:
-            if event.kind not in rank:
-                continue
-            for ref in event.predecessors:
-                current = labels.get(ref)
-                if current is None or rank[event.kind] < current[0]:
-                    labels[ref] = (rank[event.kind], event.kind)
-        return {ref: kind for ref, (_r, kind) in labels.items()}
-
 
 def classify(
     communities_by_frame: Sequence[Sequence[Collection[str]]],
     alpha: float = 0.5,
     beta: float = 0.5,
     continue_jaccard: float = 0.5,
-    max_gap: int | None = None,
 ) -> Timeline:
     """Classify every transition of a community sequence into events.
 
@@ -316,8 +268,7 @@ def classify(
         unmatched = [j for j in range(len(nxt)) if not preds[j]]
         candidates = []
         for track, old_ref in sorted(pending.items()):
-            gap = (t + 1) - old_ref.frame
-            if gap < 2 or (max_gap is not None and gap > max_gap):
+            if (t + 1) - old_ref.frame < 2:
                 continue
             old_members = frames[old_ref.frame][old_ref.community]
             for j in unmatched:

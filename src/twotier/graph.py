@@ -10,7 +10,6 @@ shipped implementation is sequential, which keeps runs bit-reproducible).
 from __future__ import annotations
 
 import csv
-from collections import deque
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -212,45 +211,15 @@ def aggregate(network: DynamicNetwork) -> FrameGraph:
     return FrameGraph(AGGREGATE_FRAME, adj, packed)
 
 
-def _hop_distances(adj: Mapping[str, Mapping[str, int]], source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        d = dist[node] + 1
-        for nxt in adj[node]:
-            if nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
-    return dist
-
-def closeness(graph: FrameGraph, node: str) -> float:
-    """Closeness of one node on the unweighted topology.
+def closeness_all(graph: FrameGraph, chunk: int = 512) -> dict[str, float]:
+    """Closeness of every node on the unweighted topology.
 
     Defined as (r / (n - 1)) * (r / s) where r is the number of other nodes
-    reachable from ``node``, s the sum of hop distances to them, and n the
+    reachable from the node, s the sum of hop distances to them, and n the
     graph's node count.  Isolated nodes (and the single-node graph) score 0.
-    """
-    if node not in graph:
-        raise ValueError(f"unknown node {node!r}")
-    n = len(graph)
-    if n <= 1:
-        return 0.0
-    dist = _hop_distances(graph._adj, node)
-    reach = len(dist) - 1
-    if reach == 0:
-        return 0.0
-    total = sum(dist.values())
-    return (reach / (n - 1)) * (reach / total)
-
-
-def closeness_all(graph: FrameGraph, chunk: int = 512) -> dict[str, float]:
-    """Closeness for every node at once.
-
-    Functionally identical to calling :func:`closeness` per node, but the
-    breadth-first sweeps run through scipy's compiled shortest-path kernel so
-    the full aggregate graph stays cheap.  ``chunk`` bounds the number of
-    simultaneous source rows to keep the distance matrix small.
+    The breadth-first sweeps run through scipy's compiled shortest-path
+    kernel so the full aggregate graph stays cheap.  ``chunk`` bounds the
+    number of simultaneous source rows to keep the distance matrix small.
     """
     import numpy as np
     from scipy.sparse import csr_matrix

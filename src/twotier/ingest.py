@@ -10,7 +10,6 @@ Lines (members as an array).
 from __future__ import annotations
 
 import csv
-import io
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -124,32 +123,20 @@ class Participation:
     timestamp: datetime
 
 
-def _text_lines(source) -> Iterable[str]:
-    if isinstance(source, (str, bytes)):
-        if isinstance(source, bytes):
-            source = source.decode("utf-8")
-        return io.StringIO(source)
-    if isinstance(source, io.TextIOBase):
-        return source
-    if hasattr(source, "read"):
-        return io.TextIOWrapper(source, encoding="utf-8")
-    return source
-
-
-def parse_log(source, format: str = "csv") -> list[TeamRecord]:
-    """Parse an activity log from a path-less stream or string.
+def parse_log(source: IO[str], format: str = "csv") -> list[TeamRecord]:
+    """Parse an activity log from an open text stream.
 
     Args:
-        source: text/bytes content or an open file object.
+        source: an open text file object (or any iterable of lines).
         format: ``"csv"`` or ``"jsonl"``.
 
     Raises:
         LogParseError: on any malformed row, quoting line and field.
     """
     if format == "csv":
-        return _parse_csv(_text_lines(source))
+        return _parse_csv(source)
     if format == "jsonl":
-        return _parse_jsonl(_text_lines(source))
+        return _parse_jsonl(source)
     raise ValueError(f"unknown log format {format!r}")
 
 
@@ -159,10 +146,13 @@ def infer_format(path) -> str:
 
 
 def load_log(path, format: str | None = None) -> list[TeamRecord]:
-    """Read a log file; infers the format from the suffix unless given."""
+    """Read a log file; infers the format from the suffix unless given.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
+    """
     if format is None:
         format = infer_format(path)
-    with open(str(path), encoding="utf-8") as handle:
+    with open(str(path), encoding="utf-8-sig") as handle:
         return parse_log(handle, format)
 
 
@@ -183,9 +173,9 @@ def _record(fields: dict, line: int) -> TeamRecord:
         ts = parse_timestamp(fields["timestamp"])
     except ValueError as exc:
         raise LogParseError(str(exc), line=line, field="timestamp") from None
-    members = fields["members"]
+    members = fields.get("members")
     if not isinstance(members, (list, tuple)) or not members:
-        raise LogParseError("empty member list", line=line, field="members")
+        raise LogParseError("missing or empty member list", line=line, field="members")
     cleaned = []
     for item in members:
         if not isinstance(item, str) or not item.strip():
@@ -473,17 +463,3 @@ def typed_network(
     sub_links = [link for link in links if link.activity_type is kind]
     sub_parts = [p for p in (participations or ()) if p.activity_type is kind]
     return build_frames(sub_links, spec, sub_parts)
-
-
-def network_from_records(
-    records: Sequence[TeamRecord],
-    spec: FrameSpec | None = None,
-    window_months: int | None = None,
-    window: timedelta | None = None,
-) -> DynamicNetwork:
-    """Convenience wrapper: records -> links + participations -> frames."""
-    if spec is None:
-        spec = spec_for_records(records, window_months, window)
-    return build_frames(
-        expand_teams(records), spec, participations=team_participations(records)
-    )

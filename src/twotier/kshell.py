@@ -200,19 +200,11 @@ def backbone_size(member_count: int, x: float) -> int:
 
 @dataclass
 class BackboneSplit:
-    """Top-X% backbone vs the rest, with the induced per-frame sub-networks.
-
-    ``bsn_frames``/``gsn_frames`` are the frame graphs induced on backbone
-    and general members; ``cross_links`` lists, per frame, the (u, v, weight)
-    edges whose endpoints straddle the two groups (canonical pair order).
-    """
+    """Top-X% backbone members vs the general rest of the registry."""
 
     x: float
     backbone: frozenset[str]
     general: frozenset[str]
-    bsn_frames: list[FrameGraph]
-    gsn_frames: list[FrameGraph]
-    cross_links: list[list[tuple[str, str, int]]]
 
     def group_of(self, member: str) -> str:
         if member in self.backbone:
@@ -222,9 +214,7 @@ class BackboneSplit:
         raise ValueError(f"unknown member {member!r}")
 
 
-def select_backbone(
-    table: InfluenceTable, x: float, network: DynamicNetwork
-) -> BackboneSplit:
+def select_backbone(table: InfluenceTable, x: float) -> BackboneSplit:
     """Split the registry into backbone members (top X% by influence) and rest.
 
     Ranking ties break by aggregate degree, then member id, so the split is
@@ -233,26 +223,7 @@ def select_backbone(
     """
     ranked = table.ranking()
     take = backbone_size(len(ranked), x)
-    backbone = frozenset(ranked[:take])
-    general = frozenset(ranked[take:])
-    bsn = [f.restrict(backbone) for f in network.frames]
-    gsn = [f.restrict(general) for f in network.frames]
-    cross: list[list[tuple[str, str, int]]] = []
-    for frame in network.frames:
-        rows = [
-            (u, v, w)
-            for u, v, w in frame.edges()
-            if (u in backbone) != (v in backbone)
-        ]
-        cross.append(rows)
-    return BackboneSplit(
-        x=x,
-        backbone=backbone,
-        general=general,
-        bsn_frames=bsn,
-        gsn_frames=gsn,
-        cross_links=cross,
-    )
+    return BackboneSplit(x, frozenset(ranked[:take]), frozenset(ranked[take:]))
 
 
 def _frame_coverage(graph: FrameGraph, seeds: Iterable[str]) -> float:
@@ -267,37 +238,24 @@ def _frame_coverage(graph: FrameGraph, seeds: Iterable[str]) -> float:
     return len(covered) / n
 
 
-def coverage(target, seeds: Iterable[str], mode: str = "mean") -> float:
+def coverage(target, seeds: Iterable[str]) -> float:
     """Fraction of nodes that are a seed or adjacent to one.
 
     For a single graph this is |seeds union their neighbours| / |nodes|.
-    For a dynamic network, ``mode="mean"`` (default) averages the per-frame
-    coverages over frames holding at least one node, while ``mode="union"``
-    pools the covered sets across frames and divides by the registry size.
+    For a dynamic network it is the mean of the per-frame coverages over
+    frames holding at least one node.
     """
     seeds = list(seeds)
     if isinstance(target, FrameGraph):
         return _frame_coverage(target, seeds)
     if not isinstance(target, DynamicNetwork):
         raise TypeError(f"expected FrameGraph or DynamicNetwork, got {type(target)!r}")
-    if mode == "mean":
-        values = [
-            _frame_coverage(frame, seeds) for frame in target.frames if len(frame) > 0
-        ]
-        if not values:
-            raise ValueError("coverage of a network with no populated frames is undefined")
-        return sum(values) / len(values)
-    if mode == "union":
-        if not target.members:
-            raise ValueError("coverage of an empty network is undefined")
-        covered: set[str] = set()
-        for frame in target.frames:
-            for seed in seeds:
-                if seed in frame:
-                    covered.add(seed)
-                    covered.update(frame.neighbors(seed))
-        return len(covered) / len(target.members)
-    raise ValueError(f"unknown coverage mode {mode!r}")
+    values = [
+        _frame_coverage(frame, seeds) for frame in target.frames if len(frame) > 0
+    ]
+    if not values:
+        raise ValueError("coverage of a network with no populated frames is undefined")
+    return sum(values) / len(values)
 
 
 def coverage_curve(

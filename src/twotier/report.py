@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import abstraction, community, evolution, kshell, synth
 from .graph import DynamicNetwork, FrameGraph, aggregate, closeness_all, write_edge_csv
@@ -117,12 +117,40 @@ def load_config(path: str | None = None, overrides: Mapping | None = None) -> Pi
         if key not in known:
             raise ValueError(f"unknown config key: {key}")
         data[key] = value
+    for key, value in data.items():
+        _check_type(key, value)
     for key in ("x_values", "curve_x"):
         if key in data:
             data[key] = tuple(_normalize_x(v) for v in data[key])
     config = PipelineConfig(**data)
     config.validate()
     return config
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(key: str, value) -> None:
+    """Reject a config value whose type does not fit the field, naming the key.
+
+    The expected type follows the field's default: a tuple wants a list of
+    numbers, a float any number, an int an integer, anything else a string
+    (or null where the default is null).
+    """
+    default = getattr(PipelineConfig, key)
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
+        kind = "a list of numbers"
+    elif isinstance(default, float):
+        ok, kind = _is_number(value), "a number"
+    elif isinstance(default, int):
+        ok, kind = _is_number(value) and isinstance(value, int), "an integer"
+    else:
+        ok = isinstance(value, str) or (default is None and value is None)
+        kind = "a string"
+    if not ok:
+        raise ValueError(f"config key {key} must be {kind}, got {value!r}")
 
 
 def _normalize_x(value) -> int | float:
@@ -365,7 +393,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     # --- per selection percentage ---------------------------------------------
     for x in config.x_values:
-        split = kshell.select_backbone(table, x, network)
+        split = kshell.select_backbone(table, x)
         result.splits[x] = split
         xdir = out / f"x{x:g}"
         xdir.mkdir(exist_ok=True)

@@ -124,23 +124,6 @@ def test_suspend_and_reemerge_bridge_a_gap():
     assert ree[0].track_id == sus[0].track_id
 
 
-def test_max_gap_limits_resumption():
-    frames = [
-        [F({"a", "b", "c"}), F({"k", "l", "m"})],
-        [F({"k", "l", "m"})],
-        [F({"k", "l", "m"})],
-        [F({"k", "l", "m"})],
-        [F({"a", "b", "c"}), F({"k", "l", "m"})],
-    ]
-    tl = classify(frames)  # unlimited gap
-    assert len(_events_of(tl, EventKind.REEMERGE)) == 1
-    tl2 = classify(frames, max_gap=3)
-    assert not _events_of(tl2, EventKind.REEMERGE)
-    # without resumption the old track dissolves and a new one forms
-    assert any(e.frame == 0 for e in _events_of(tl2, EventKind.DISSOLVE))
-    assert any(e.frame == 4 for e in _events_of(tl2, EventKind.FORM))
-
-
 def test_pending_tracks_dissolve_at_end():
     tl = classify([
         [F({"a", "b", "c"})],

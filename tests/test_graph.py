@@ -7,7 +7,6 @@ from twotier.graph import (
     DynamicNetwork,
     FrameGraph,
     aggregate,
-    closeness,
     closeness_all,
     read_edge_csv,
     write_edge_csv,
@@ -95,13 +94,11 @@ def test_closeness_against_bfs_oracle():
         want = {v: bfs_closeness(adj, v, n) for v in adj}
         bulk = closeness_all(g, chunk=7)  # odd chunk to exercise chunking
         for v in adj:
-            assert closeness(g, v) == pytest.approx(want[v], abs=1e-12)
             assert bulk[v] == pytest.approx(want[v], abs=1e-12)
 
 
 def test_closeness_of_isolated_node_is_zero():
     g = FrameGraph.from_edges(0, [("a", "b", 1)], nodes=["a", "b", "c"])
-    assert closeness(g, "c") == 0.0
     assert closeness_all(g)["c"] == 0.0
 
 

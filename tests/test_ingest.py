@@ -12,7 +12,7 @@ from twotier.ingest import (
     add_months,
     build_frames,
     expand_teams,
-    network_from_records,
+    load_log,
     parse_log,
     parse_timestamp,
     spec_for_records,
@@ -104,11 +104,15 @@ t2,act3,B,2021-01-20T10:30:00Z,bob;cat;dan
 """
 
 
-def test_parse_log_csv():
+def test_parse_log_csv(tmp_path):
     records = parse_log(io.StringIO(CSV_OK), format="csv")
     assert len(records) == 2
     assert records[0].members == ("ann", "bob")
     assert records[1].activity_type is ActivityType.B
+    # spreadsheet exports start with a UTF-8 byte-order mark
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff" + CSV_OK, encoding="utf-8")
+    assert load_log(path) == records
 
 
 def test_parse_log_csv_reports_line_numbers():
@@ -118,20 +122,26 @@ def test_parse_log_csv_reports_line_numbers():
     assert err.value.line == 4
 
 
-def test_parse_log_jsonl():
+def test_parse_log_jsonl(tmp_path):
     text = (
         '{"team_id": "t1", "activity_id": "a", "activity_type": "A", '
         '"timestamp": "2021-01-04T09:00:00Z", "members": ["x", "y"]}\n'
     )
     records = parse_log(io.StringIO(text), format="jsonl")
     assert records[0].members == ("x", "y")
+    path = tmp_path / "bom.jsonl"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_log(path) == records
 
 
 def test_parse_log_jsonl_bad_members():
-    text = '{"team_id": "t1", "activity_id": "a", "activity_type": "A", ' \
-           '"timestamp": "2021-01-04T09:00:00Z", "members": "xy"}\n'
-    with pytest.raises(LogParseError):
-        parse_log(io.StringIO(text), format="jsonl")
+    head = '{"team_id": "t1", "activity_id": "a", "activity_type": "A", ' \
+           '"timestamp": "2021-01-04T09:00:00Z"'
+    for text in (head + ', "members": "xy"}\n', head + "}\n"):
+        with pytest.raises(LogParseError) as err:
+            parse_log(io.StringIO(text), format="jsonl")
+        assert err.value.line == 1
+        assert err.value.field == "members"
 
 
 # --- frame spec -----------------------------------------------------------
@@ -224,10 +234,3 @@ def test_typed_network_filters_one_activity_type():
     net_a = typed_network(links, spec, "A", team_participations(records))
     assert net_a.frames[0].weight("a", "b") == 1
     assert net_a.frames[0].weight("b", "c") == 0
-
-
-def test_network_from_records_shortcut():
-    records = [_team("t1", ["a", "b"], ts="2021-01-10T00:00:00Z")]
-    net = network_from_records(records, window_months=1)
-    assert net.frame_count == 1
-    assert net.frames[0].weight("a", "b") == 1

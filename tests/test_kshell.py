@@ -109,17 +109,19 @@ def test_backbone_size_floor_and_minimum():
 def test_select_backbone_splits_frames_and_counts_cross_links():
     net = _network([[("a", "b", 2), ("b", "c", 1), ("c", "d", 1), ("a", "c", 1)]])
     table = dynamic_influence(net)
-    split = select_backbone(table, 50, net)
+    split = select_backbone(table, 50)
     assert len(split.backbone) == 2
     assert split.backbone | split.general == net.members
     assert split.group_of(next(iter(split.backbone))) == "BM"
-    bsn = split.bsn_frames[0]
-    gsn = split.gsn_frames[0]
+    frame = net.frames[0]
+    bsn = frame.restrict(split.backbone)
+    gsn = frame.restrict(split.general)
     assert set(bsn.nodes) == split.backbone
     assert set(gsn.nodes) == split.general
-    total_links = net.frames[0].total_weight
-    cross_weight = sum(w for _, _, w in split.cross_links[0])
-    assert bsn.total_weight + gsn.total_weight + cross_weight == total_links
+    cross_weight = sum(
+        w for u, v, w in frame.edges() if (u in split.backbone) != (v in split.backbone)
+    )
+    assert bsn.total_weight + gsn.total_weight + cross_weight == frame.total_weight
 
 
 def test_coverage_modes():
@@ -127,16 +129,12 @@ def test_coverage_modes():
         [("a", "b", 1), ("c", "d", 1)],
         [("a", "b", 1), ("b", "c", 1), ("c", "d", 1)],
     ])
-    # union mode: seeds + neighbours across ALL frames
-    assert coverage(net, ["a"], mode="union") == pytest.approx(2 / 4)
-    # mean mode: average of per-frame fractions
+    # a network scores the average of its per-frame fractions
     f0 = 2 / 4
     f1 = 2 / 4
-    assert coverage(net, ["a"], mode="mean") == pytest.approx((f0 + f1) / 2)
+    assert coverage(net, ["a"]) == pytest.approx((f0 + f1) / 2)
     g = net.frames[1]
     assert coverage(g, ["b"]) == pytest.approx(3 / 4)
-    with pytest.raises(ValueError):
-        coverage(net, ["a"], mode="nope")
 
 
 def test_coverage_curves_are_monotone_and_comparable():

@@ -56,6 +56,13 @@ def test_load_config_file_and_overrides(tmp_path):
     with pytest.raises(ValueError) as err:
         load_config(path2)
     assert "presett" in str(err.value)
+    # wrong JSON types are rejected by key, not left to crash the run
+    for key, value in (("x_values", 5), ("window", 3)):
+        path3 = tmp_path / f"bad_{key}.json"
+        path3.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError) as err:
+            load_config(path3)
+        assert key in str(err.value)
 
 
 def test_member_profiles_group_averages():
@@ -68,7 +75,7 @@ def test_member_profiles_group_averages():
     g = FrameGraph.from_edges(0, [("a", "b", 3), ("a", "c", 1), ("b", "c", 1)])
     net = DynamicNetwork([g], spec, frozenset({"a", "b", "c"}))
     table = dynamic_influence(net)
-    split = select_backbone(table, 34, net)
+    split = select_backbone(table, 34)
     stats = {
         m: {"degree": g.degree(m), "closeness": 0.5, "type_a": 1,
             "type_b": 2, "active": 1}
