@@ -218,7 +218,6 @@ class FramePartitionSet:
 
     partitions: list[Partition]
     average_q: float
-    analyzed_frames: list[int]
     degenerate_frames: list[int] = field(default_factory=list)
 
 
@@ -238,7 +237,7 @@ def detect_all(frames: Sequence[FrameGraph], seed: int = 42) -> FramePartitionSe
         average = sum(partitions[t].q for t in analyzed) / len(analyzed)
     else:
         average = 0.0
-    return FramePartitionSet(partitions, average, analyzed, degenerate)
+    return FramePartitionSet(partitions, average, degenerate)
 
 
 def write_partition_csv(path, partitions: Iterable[Partition]) -> None:

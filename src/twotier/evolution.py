@@ -156,13 +156,13 @@ def match(
 class Timeline:
     """Full evolution history of one sub-network.
 
-    ``tracks`` maps track id -> the ordered occurrences that share one
-    community identity over time.  ``events`` is sorted by frame, then kind.
+    ``track_of`` maps each occurrence to its track id; occurrences sharing a
+    track are one community identity over time.  ``events`` is sorted by
+    frame, then kind.
     """
 
     communities: list[list[frozenset[str]]]
     events: list[EvolutionEvent]
-    tracks: dict[int, list[CommunityRef]]
     track_of: dict[CommunityRef, int]
 
 
@@ -182,8 +182,6 @@ def classify(
             whose Jaccard similarity falls below this is not a Continue;
             the pair is treated as unmatched (the old community ends, the
             new one forms).
-        max_gap: when set, a suspended community may only re-emerge within
-            this many frames of its last occurrence.
 
     Event frame conventions: transition events (Continue/Grow/Shrink/
     Split/Merge) are stamped with the successor frame; Form/ReEmerge with
@@ -197,7 +195,6 @@ def classify(
     ]
     last = len(frames) - 1
     events: list[EvolutionEvent] = []
-    tracks: dict[int, list[CommunityRef]] = {}
     track_of: dict[CommunityRef, int] = {}
     pending: dict[int, CommunityRef] = {}  # track -> occurrence awaiting its fate
     next_track = 0
@@ -206,13 +203,8 @@ def classify(
         nonlocal next_track
         track = next_track
         next_track += 1
-        tracks[track] = [ref]
         track_of[ref] = track
         return track
-
-    def extend_track(track: int, ref: CommunityRef) -> None:
-        tracks[track].append(ref)
-        track_of[ref] = track
 
     if frames:
         for j, group in enumerate(frames[0]):
@@ -259,7 +251,7 @@ def classify(
             ref = CommunityRef(t + 1, j)
             i = best_pred.get(j)
             if i is not None and best_succ.get(i) == j:
-                extend_track(track_of[CommunityRef(t, i)], ref)
+                track_of[ref] = track_of[CommunityRef(t, i)]
             elif preds[j]:
                 # matched, but another successor carries the old identity on
                 start_track(ref)
@@ -290,7 +282,7 @@ def classify(
             if j in resumed:
                 track = resumed[j]
                 old_ref = pending.pop(track)
-                extend_track(track, ref)
+                track_of[ref] = track
                 events.append(
                     EvolutionEvent(
                         EventKind.SUSPEND,
@@ -394,7 +386,7 @@ def classify(
     events.sort(
         key=lambda e: (e.frame, _KIND_ORDER[e.kind], e.successors, e.predecessors)
     )
-    return Timeline(frames, events, tracks, track_of)
+    return Timeline(frames, events, track_of)
 
 
 def timeline_from_partitions(partitions) -> list[list[frozenset[str]]]:

@@ -18,6 +18,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Frame index used for the all-frames aggregate graph.
 AGGREGATE_FRAME = -1
 
+#: Sources per pass of :func:`closeness_all`; bounds its bitsets to 1 KB
+#: each, so memory stays linear in the node count.
+_SOURCE_BLOCK = 8192
+
 
 class FrameGraph:
     """Undirected weighted graph for a single time frame.
@@ -211,48 +215,50 @@ def aggregate(network: DynamicNetwork) -> FrameGraph:
     return FrameGraph(AGGREGATE_FRAME, adj, packed)
 
 
-def closeness_all(graph: FrameGraph, chunk: int = 512) -> dict[str, float]:
+def closeness_all(graph: FrameGraph) -> dict[str, float]:
     """Closeness of every node on the unweighted topology.
 
     Defined as (r / (n - 1)) * (r / s) where r is the number of other nodes
     reachable from the node, s the sum of hop distances to them, and n the
     graph's node count.  Isolated nodes (and the single-node graph) score 0.
-    The breadth-first sweeps run through scipy's compiled shortest-path
-    kernel so the full aggregate graph stays cheap.  ``chunk`` bounds the
-    number of simultaneous source rows to keep the distance matrix small.
-    """
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
 
-    order = list(graph._adj)
+    All sources of a block advance together in one level-synchronous
+    breadth-first search (multi-source BFS, Then et al., VLDB 2014): each
+    node holds an int whose bit i is set once source i has reached it.  The
+    bits a node gains at level d are the sources at distance exactly d, and
+    distances are symmetric, so their count adds to the node's own r and
+    d times it to its own s.
+    """
+    adj = graph._adj
+    order = list(adj)
     n = len(order)
-    if n == 0:
-        return {}
-    if n == 1:
-        return {order[0]: 0.0}
-    index = {v: i for i, v in enumerate(order)}
-    rows: list[int] = []
-    cols: list[int] = []
-    for u, v, _w in graph.edges():
-        rows.append(index[u])
-        cols.append(index[v])
-    data = np.ones(len(rows), dtype=np.int8)
-    matrix = csr_matrix((data, (rows, cols)), shape=(n, n))
-    result: dict[str, float] = {}
-    for start in range(0, n, chunk):
-        sources = list(range(start, min(start + chunk, n)))
-        dist = dijkstra(matrix, directed=False, unweighted=True, indices=sources)
-        finite = np.isfinite(dist)
-        reach = finite.sum(axis=1) - 1
-        sums = np.where(finite, dist, 0.0).sum(axis=1)
-        for sub, i in enumerate(sources):
-            r = int(reach[sub])
-            if r <= 0:
-                result[order[i]] = 0.0
-            else:
-                result[order[i]] = (r / (n - 1)) * (r / sums[sub])
-    return result
+    reach = dict.fromkeys(order, 0)
+    total = dict.fromkeys(order, 0)
+    for first in range(0, n, _SOURCE_BLOCK):
+        sources = order[first : first + _SOURCE_BLOCK]
+        frontier = {v: 1 << i for i, v in enumerate(sources)}
+        seen = dict(frontier)
+        level = 0
+        while frontier:
+            level += 1
+            found: dict[str, int] = {}
+            for v, row in adj.items():
+                bits = 0
+                for u in row:
+                    if u in frontier:
+                        bits |= frontier[u]
+                bits &= ~seen.get(v, 0)
+                if bits:
+                    found[v] = bits
+                    seen[v] = seen.get(v, 0) | bits
+                    count = bits.bit_count()
+                    reach[v] += count
+                    total[v] += level * count
+            frontier = found
+    return {
+        v: (reach[v] / (n - 1)) * (reach[v] / total[v]) if reach[v] else 0.0
+        for v in order
+    }
 
 
 def write_edge_csv(path, frames: Iterable[FrameGraph]) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -54,9 +55,9 @@ def parse_window(text: str) -> tuple[int | None, timedelta | None]:
 class PipelineConfig:
     """Everything one analysis run needs; mirrors the CLI flags."""
 
-    input: str | None = None        # log path; None -> generate a preset
+    input: str | os.PathLike | None = None  # log path; None -> generate a preset
     format: str | None = None       # input encoding: csv | jsonl | None (by suffix)
-    preset: str = "large"           # generator preset when input is None
+    preset: str | None = "large"    # generator preset when input is None
     seed: int = 42                  # generator + detection seed
     window: str = "3m"              # frame width
     x_values: tuple = (5, 10, 20)   # backbone percentages to analyse
@@ -65,9 +66,11 @@ class PipelineConfig:
     continue_jaccard: float = 0.5
     type_filter: str = "all"        # which activity-type splits to abstract
     curve_x: tuple = (1, 2, 3, 4, 5, 10, 15, 20, 25, 30, 40, 50)
-    out_dir: str = "twotier_out"
+    out_dir: str | os.PathLike = "twotier_out"
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name))
         if self.format not in (None, "csv", "jsonl"):
             raise ValueError(f"format must be csv or jsonl, got {self.format!r}")
         if self.input is None and self.preset not in synth.PRESETS:
@@ -117,13 +120,10 @@ def load_config(path: str | None = None, overrides: Mapping | None = None) -> Pi
         if key not in known:
             raise ValueError(f"unknown config key: {key}")
         data[key] = value
-    for key, value in data.items():
-        _check_type(key, value)
-    for key in ("x_values", "curve_x"):
-        if key in data:
-            data[key] = tuple(_normalize_x(v) for v in data[key])
     config = PipelineConfig(**data)
     config.validate()
+    config.x_values = tuple(_normalize_x(v) for v in config.x_values)
+    config.curve_x = tuple(_normalize_x(v) for v in config.curve_x)
     return config
 
 
@@ -136,7 +136,7 @@ def _check_type(key: str, value) -> None:
 
     The expected type follows the field's default: a tuple wants a list of
     numbers, a float any number, an int an integer, anything else a string
-    (or null where the default is null).
+    (input, format and preset may be None; input and out_dir a path object).
     """
     default = getattr(PipelineConfig, key)
     if isinstance(default, tuple):
@@ -147,8 +147,9 @@ def _check_type(key: str, value) -> None:
     elif isinstance(default, int):
         ok, kind = _is_number(value) and isinstance(value, int), "an integer"
     else:
-        ok = isinstance(value, str) or (default is None and value is None)
-        kind = "a string"
+        optional = value is None and key in ("input", "format", "preset")
+        path = isinstance(value, os.PathLike) and key in ("input", "out_dir")
+        ok, kind = isinstance(value, str) or optional or path, "a string"
     if not ok:
         raise ValueError(f"config key {key} must be {kind}, got {value!r}")
 
@@ -279,8 +280,6 @@ class PipelineResult:
     summary: dict
     manifest: dict
     network: DynamicNetwork
-    influence: kshell.InfluenceTable
-    curves: dict
     metrics: dict = field(default_factory=dict)   # (x, filter) -> metric rows
     profiles: dict = field(default_factory=dict)  # x -> {group: ProfileRow}
     edge_totals: dict = field(default_factory=dict)  # (x, filter) -> weight by class
@@ -387,8 +386,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         summary=summary,
         manifest={},
         network=network,
-        influence=table,
-        curves=curves,
     )
 
     # --- per selection percentage ---------------------------------------------
@@ -481,6 +478,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # the manifest lives inside the bundle, so the output path is implied;
     # dropping it keeps bundles byte-identical across destinations
     config_dump.pop("out_dir", None)
+    if config.input is not None:
+        config_dump["input"] = str(config.input)
     manifest = {
         "tool": "twotier",
         "version": _version(),

@@ -1,7 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
 
+from twotier import graph
 from twotier.graph import (
     AGGREGATE_FRAME,
     DynamicNetwork,
@@ -85,16 +87,22 @@ def test_aggregate_sums_weights_and_registry():
     assert agg.activity_counts("zzz") == (0, 0)
 
 
-def test_closeness_against_bfs_oracle():
+def test_closeness_against_bfs_oracle(monkeypatch):
+    monkeypatch.setattr(graph, "_SOURCE_BLOCK", 7)  # odd block to exercise blocking
     rng = random.Random(4242)
     for _ in range(40):
         adj = random_weighted_adj(rng, max_nodes=18, max_edges=40)
         g = FrameGraph(0, adj)
         n = len(g.nodes)
         want = {v: bfs_closeness(adj, v, n) for v in adj}
-        bulk = closeness_all(g, chunk=7)  # odd chunk to exercise chunking
+        bulk = closeness_all(g)
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(adj)
+        nx_graph.add_edges_from((u, v) for u, row in adj.items() for v in row)
+        reference = nx.closeness_centrality(nx_graph, wf_improved=True)
         for v in adj:
             assert bulk[v] == pytest.approx(want[v], abs=1e-12)
+            assert bulk[v] == pytest.approx(reference[v], abs=1e-12)
 
 
 def test_closeness_of_isolated_node_is_zero():

@@ -1,5 +1,7 @@
 import json
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,13 @@ def test_config_validation():
         PipelineConfig(type_filter="C").validate()
     with pytest.raises(ValueError):
         PipelineConfig(input=None, preset=None).validate()
+    # wrong types fail here, naming the key, rather than crashing later
+    for key, value in (("window", 3), ("x_values", 5), ("alpha", "0.5"),
+                       ("seed", "1"), ("curve_x", ["5"]), ("out_dir", None)):
+        with pytest.raises(ValueError) as err:
+            PipelineConfig(**{key: value}).validate()
+        assert key in str(err.value)
+    PipelineConfig(input=Path("log.csv"), out_dir=Path("out")).validate()
 
 
 def test_filters_depend_on_type_filter():
@@ -165,6 +174,13 @@ def test_pipeline_reads_log_files(tmp_path):
     assert summary["source"]["path"].endswith("events.csv")
     assert summary["source"]["format"] == "csv"
     assert set(summary["x"]["20"]["filters"]) == {"full", "A"}
+    # a path object gives the same bundle as the equivalent string
+    cfg.input, cfg.out_dir = log, tmp_path / "out_path"
+    run_pipeline(cfg)
+    for name in ("summary.json", "manifest.json"):
+        assert (tmp_path / "out_path" / name).read_bytes() == (
+            tmp_path / "out" / name
+        ).read_bytes()
 
 
 def test_pipeline_infers_jsonl_from_suffix(tmp_path):
@@ -180,3 +196,10 @@ def test_pipeline_infers_jsonl_from_suffix(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["source"]["format"] == "jsonl"
     assert result.summary["network"]["teams"] == len(records)
+
+
+def test_pipeline_needs_no_numpy_or_scipy(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
+    assert (tmp_path / "manifest.json").is_file()
