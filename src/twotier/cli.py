@@ -17,7 +17,7 @@ class CommandError(Exception):
 
 def _parse_x_list(text: str) -> tuple:
     try:
-        return tuple(report_mod._normalize_x(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise CommandError(f"cannot parse percentage list {text!r}") from None
 
@@ -80,9 +80,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     summary_path = Path(args.bundle) / "summary.json"
     if not summary_path.exists():
         raise CommandError(f"no summary.json under {args.bundle}")
-    with open(summary_path) as handle:
-        summary = json.load(handle)
-    sys.stdout.write(report_mod.report_text(summary))
+    try:
+        with open(summary_path) as handle:
+            text = report_mod.report_text(json.load(handle))
+    except (KeyError, TypeError, ValueError):
+        raise CommandError(f"{summary_path} is not a twotier summary") from None
+    sys.stdout.write(text)
     return 0
 
 

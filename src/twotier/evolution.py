@@ -394,19 +394,21 @@ def timeline_from_partitions(partitions) -> list[list[frozenset[str]]]:
     return [part.communities() for part in partitions]
 
 
-def event_shares(events_by_group: Mapping[str, Sequence[EvolutionEvent]]) -> list[dict]:
-    """Percentage of each event kind (and V/S/none class) per group.
+def event_shares(
+    events_by_group: Mapping[str, Sequence[EvolutionEvent]],
+) -> dict[str, dict]:
+    """Percentage of each event kind (and V/S/none class), keyed by group.
 
     Groups without events are omitted; within a row the nine kind shares sum
     to 100, as do the three attribute shares.
     """
-    rows = []
+    rows = {}
     for group in sorted(events_by_group):
         events = events_by_group[group]
         total = len(events)
         if total == 0:
             continue
-        row: dict = {"group": group, "events": total}
+        row: dict = {"events": total}
         by_attr = {"V": 0, "S": 0, "-": 0}
         for kind in EventKind:
             count = sum(1 for e in events if e.kind is kind)
@@ -415,7 +417,7 @@ def event_shares(events_by_group: Mapping[str, Sequence[EvolutionEvent]]) -> lis
         row["V_share"] = 100.0 * by_attr["V"] / total
         row["S_share"] = 100.0 * by_attr["S"] / total
         row["none_share"] = 100.0 * by_attr["-"] / total
-        rows.append(row)
+        rows[group] = row
     return rows
 
 

@@ -179,13 +179,13 @@ def dynamic_influence(
     )
 
 
-def aggregate_ranking(aggregate_graph: FrameGraph) -> list[str]:
+def aggregate_ranking(aggregate_graph: FrameGraph, shells: ShellAssignment) -> list[str]:
     """Members of the aggregate graph ordered by the frame-free method:
-    (aggregate shell desc, degree desc, id asc)."""
-    shells = wks_decompose(aggregate_graph).shells
+    (aggregate shell desc, degree desc, id asc), where ``shells`` is the
+    graph's :func:`wks_decompose`."""
     return sorted(
         aggregate_graph.nodes,
-        key=lambda m: (-shells[m], -aggregate_graph.degree(m), m),
+        key=lambda m: (-shells.shells[m], -aggregate_graph.degree(m), m),
     )
 
 
@@ -259,32 +259,15 @@ def coverage(target, seeds: Iterable[str]) -> float:
 
 
 def coverage_curve(
-    network: DynamicNetwork,
-    method: str,
-    x_values: Sequence[float],
-    table: InfluenceTable | None = None,
-    aggregate_graph: FrameGraph | None = None,
+    target, ranked: Sequence[str], x_values: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Coverage as a function of the selection percentage X.
+    """Coverage of ``target`` (as in :func:`coverage`) by the top X% of
+    ``ranked``, for each X in ``x_values``.
 
-    ``method="dwks"`` ranks members by accumulated per-frame influence and
-    scores mean per-frame coverage on the dynamic network.
-    ``method="wks_aggregate"`` ranks by shells of the aggregate graph and
-    scores coverage on that aggregate.  Both use the same seed-count rule
-    as backbone selection.
+    The seed count follows the backbone-selection rule.  The paper's two
+    curves are ``(network, table.ranking())`` for the frame-aware ranking
+    and ``(aggregate_graph, aggregate_ranking(...))`` for the frame-free one.
     """
-    if method not in ("dwks", "wks_aggregate"):
-        raise ValueError(f"unknown ranking method {method!r}")
-    if aggregate_graph is None:
-        aggregate_graph = aggregate(network)
-    if method == "dwks":
-        if table is None:
-            table = dynamic_influence(network, aggregate_graph)
-        ranked = table.ranking()
-        target = network
-    else:
-        ranked = aggregate_ranking(aggregate_graph)
-        target = aggregate_graph
     points = []
     for x in x_values:
         take = backbone_size(len(ranked), x)

@@ -7,6 +7,7 @@ the same configuration twice produces byte-identical output.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -27,9 +28,6 @@ from .ingest import (
     team_participations,
     typed_network,
     build_frames,
-    FrameSpec,
-    add_months,
-    parse_timestamp,
 )
 
 _WINDOW_RE = re.compile(r"^(\d+)([mdhs])$")
@@ -71,15 +69,21 @@ class PipelineConfig:
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             _check_type(f.name, getattr(self, f.name))
+        for key in ("x_values", "curve_x"):
+            for x in getattr(self, key):
+                if not 0 < x <= 100:
+                    raise ValueError(f"selection percentage {x} outside (0, 100]")
+            values = tuple(_normalize_x(v) for v in getattr(self, key))
+            repeated = [v for v in values if values.count(v) > 1]
+            if repeated:
+                raise ValueError(f"config key {key} lists {repeated[0]} twice")
+            setattr(self, key, values)
         if self.format not in (None, "csv", "jsonl"):
             raise ValueError(f"format must be csv or jsonl, got {self.format!r}")
         if self.input is None and self.preset not in synth.PRESETS:
             raise ValueError(
                 f"unknown preset {self.preset!r}; choose from {sorted(synth.PRESETS)}"
             )
-        for x in tuple(self.x_values) + tuple(self.curve_x):
-            if not 0 < x <= 100:
-                raise ValueError(f"selection percentage {x} outside (0, 100]")
         if not self.x_values:
             raise ValueError("need at least one X value")
         if not 0 < self.alpha <= 1 or not 0 < self.beta <= 1:
@@ -107,7 +111,10 @@ def load_config(path: str | None = None, overrides: Mapping | None = None) -> Pi
     data: dict = {}
     if path is not None:
         with open(path) as handle:
-            loaded = json.load(handle)
+            try:
+                loaded = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
         unknown = sorted(set(loaded) - known)
@@ -122,8 +129,6 @@ def load_config(path: str | None = None, overrides: Mapping | None = None) -> Pi
         data[key] = value
     config = PipelineConfig(**data)
     config.validate()
-    config.x_values = tuple(_normalize_x(v) for v in config.x_values)
-    config.curve_x = tuple(_normalize_x(v) for v in config.curve_x)
     return config
 
 
@@ -172,9 +177,6 @@ class ProfileRow:
     avg_type_b: float | None
     avg_active_frames: float | None
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _member_stats(network: DynamicNetwork, agg: FrameGraph, closeness_values: dict):
     stats: dict[str, dict] = {}
@@ -212,59 +214,23 @@ def member_profiles(
             row = member_stats[member]
             for k in keys:
                 sums[k] += row[k]
-        rows[group] = ProfileRow(
-            group,
-            count,
-            sums["degree"] / count,
-            sums["closeness"] / count,
-            sums["type_a"] / count,
-            sums["type_b"] / count,
-            sums["active"] / count,
-        )
+        rows[group] = ProfileRow(group, count, *(sums[k] / count for k in keys))
     return rows
 
 
 def write_profiles_csv(path, x: float, rows: Mapping[str, ProfileRow]) -> None:
-    import csv
-
+    """Dump one row per group: ``x``, then the :class:`ProfileRow` fields."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "x",
-                "group",
-                "count",
-                "avg_degree",
-                "avg_closeness",
-                "avg_type_a",
-                "avg_type_b",
-                "avg_active_frames",
-            ]
-        )
+        writer.writerow(["x", *(f.name for f in dataclasses.fields(ProfileRow))])
         for group in sorted(rows):
-            row = rows[group]
+            name, count, *averages = dataclasses.astuple(rows[group])
             writer.writerow(
-                [
-                    x,
-                    row.group,
-                    row.count,
-                    *(
-                        "" if v is None else f"{v:.10f}"
-                        for v in (
-                            row.avg_degree,
-                            row.avg_closeness,
-                            row.avg_type_a,
-                            row.avg_type_b,
-                            row.avg_active_frames,
-                        )
-                    ),
-                ]
+                [x, name, count, *("" if v is None else f"{v:.10f}" for v in averages)]
             )
 
 
 def write_backbone_csv(path, split: kshell.BackboneSplit) -> None:
-    import csv
-
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["member_id", "group"])
@@ -287,220 +253,254 @@ class PipelineResult:
     elapsed_seconds: float = 0.0
 
 
-def _shares_by_group(timelines: Mapping[str, evolution.Timeline]) -> dict:
-    rows = evolution.event_shares(
-        {name: tl.events for name, tl in timelines.items()}
-    )
-    return {row["group"]: {k: v for k, v in row.items() if k != "group"} for row in rows}
+class _Bundle:
+    """The output directory, remembering every file handed out for writing,
+    so the manifest lists exactly the files of this run."""
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.files: set[str] = set()
+
+    def path(self, name: str) -> Path:
+        target = self.root / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        self.files.add(name)
+        return target
+
+    def remove_previous(self) -> None:
+        """Delete the files an earlier run's manifest lists (and directories
+        they leave empty), so a rerun leaves the files of a fresh run.
+        Nothing the manifest does not list is touched."""
+        try:
+            manifest = json.loads((self.root / "manifest.json").read_text())
+            listed = manifest["artifacts"] if manifest["tool"] == "twotier" else []
+        except (OSError, ValueError, KeyError, TypeError):
+            return
+        root = self.root.resolve()
+        emptied = set()
+        for name in listed if isinstance(listed, list) else ():
+            path = (root / str(name)).resolve()
+            if path.is_relative_to(root) and path.is_file():
+                path.unlink()
+                emptied.update(root / d for d in path.relative_to(root).parents[:-1])
+        for directory in sorted(emptied, key=lambda d: len(d.parts), reverse=True):
+            if not any(directory.iterdir()):
+                directory.rmdir()
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Run the full two-level analysis and write the result bundle."""
+    """Run the full two-level analysis and write the result bundle.
+
+    The stages follow the paper: acquire the log, build the frame networks,
+    tier one on the full network (influence, coverage, member statistics),
+    then per backbone percentage X the split and, per activity-type filter,
+    tier two (communities, evolution, abstraction).
+    """
     config.validate()
     started = time.perf_counter()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "network").mkdir(exist_ok=True)
+    bundle = _Bundle(Path(config.out_dir))
+    bundle.remove_previous()
+    records, spec, source = _acquire(config, bundle)
+    networks, network_block = _build_networks(records, spec, config, bundle)
+    table, member_stats, tier_one = _tier_one(networks["full"], config, bundle)
+    summary = {"source": source, "network": network_block, **tier_one, "x": {}}
+    result = PipelineResult(bundle.root, summary, {}, networks["full"])
+    for x in config.x_values:
+        xdir = f"x{x:g}"
+        split, profiles, x_block = _split_backbone(table, x, member_stats, bundle, xdir)
+        for name, fnet in networks.items():
+            fdir = f"{xdir}/{name}"
+            block, rows, totals = _analyze_filter(fnet, split, config, bundle, fdir)
+            x_block["filters"][name] = block
+            result.metrics[(x, name)], result.edge_totals[(x, name)] = rows, totals
+        result.splits[x], result.profiles[x] = split, profiles
+        summary["x"][str(x)] = x_block
+    result.manifest = _write_index(bundle, config, summary)
+    result.elapsed_seconds = time.perf_counter() - started
+    return result
 
-    # --- acquire the log -----------------------------------------------------
+
+def _acquire(config: PipelineConfig, bundle: _Bundle):
+    """The team records, their frame spec and the summary's source block.
+
+    Without an input log, the preset's generated log and ground truth join
+    the bundle.
+    """
     if config.input is None:
         synth_config = synth.PRESETS[config.preset](config.seed)
         records, truth = synth.generate(synth_config)
-        synth.write_log_csv(out / "synth_log.csv", records)
-        synth.write_ground_truth(out / "ground_truth.json", truth)
-        start = parse_timestamp(synth_config.span_start)
-        spec = FrameSpec(
-            start,
-            add_months(start, synth_config.frames * synth_config.window_months),
-            window_months=synth_config.window_months,
-        )
+        synth.write_log_csv(bundle.path("synth_log.csv"), records)
+        synth.write_ground_truth(bundle.path("ground_truth.json"), truth)
         source = {"kind": "synthetic", "preset": config.preset, "seed": config.seed}
-    else:
-        effective_format = config.format or infer_format(config.input)
-        records = load_log(config.input, effective_format)
-        if not records:
-            raise ValueError(f"input log {config.input} holds no records")
-        months, duration = parse_window(config.window)
-        spec = spec_for_records(records, months, duration)
-        source = {"kind": "file", "path": str(config.input), "format": effective_format}
+        return records, synth_config.frame_spec(), source
+    effective_format = config.format or infer_format(config.input)
+    records = load_log(config.input, effective_format)
+    if not records:
+        raise ValueError(f"input log {config.input} holds no records")
+    spec = spec_for_records(records, *parse_window(config.window))
+    source = {"kind": "file", "path": str(config.input), "format": effective_format}
+    return records, spec, source
 
+
+def _build_networks(records, spec, config: PipelineConfig, bundle: _Bundle):
+    """Frame networks by filter ("full" first, then the typed ones) and the
+    summary's network block; each network's edges go under ``network/``."""
     links = expand_teams(records)
     participations = team_participations(records)
-    network = build_frames(links, spec, participations)
+    networks = {"full": build_frames(links, spec, participations)}
+    for name in config.filters[1:]:
+        networks[name] = typed_network(links, spec, name, participations)
+    for name, net in networks.items():
+        suffix = "" if name == "full" else f"_{name}"
+        write_edge_csv(bundle.path(f"network/frames{suffix}.csv"), net.frames)
     activity_ids = {"A": set(), "B": set()}
     for record in records:
         activity_ids[record.activity_type.value].add(record.activity_id)
+    block = {
+        "members": len(networks["full"].members),
+        "frames": networks["full"].frame_count,
+        "teams": len(records),
+        "links": len(links),
+        "activities_a": len(activity_ids["A"]),
+        "activities_b": len(activity_ids["B"]),
+        "frame_spec": spec.describe(),
+    }
+    return networks, block
 
-    # --- tier one: influence, backbone, coverage ------------------------------
+
+def _tier_one(network: DynamicNetwork, config: PipelineConfig, bundle: _Bundle):
+    """Tier one on the full network: dynamic influence, the aggregate
+    graph's shells, both coverage curves and per-member statistics.
+
+    Returns the influence table, the member statistics and the summary's
+    ``shell_statistics`` and ``coverage`` blocks.
+    """
     agg = aggregate(network)
     table = kshell.dynamic_influence(network, agg)
-    aggregate_stats = kshell.wks_decompose(agg)
+    agg_shells = kshell.wks_decompose(agg)
     curves = {
-        "dwks": kshell.coverage_curve(
-            network, "dwks", config.curve_x, table=table, aggregate_graph=agg
-        ),
+        "dwks": kshell.coverage_curve(network, table.ranking(), config.curve_x),
         "wks_aggregate": kshell.coverage_curve(
-            network, "wks_aggregate", config.curve_x, aggregate_graph=agg
+            agg, kshell.aggregate_ranking(agg, agg_shells), config.curve_x
         ),
     }
-    closeness_values = closeness_all(agg)
-    member_stats = _member_stats(network, agg, closeness_values)
-
-    write_edge_csv(out / "network" / "frames.csv", network.frames)
-    kshell.write_influence_csv(out / "network" / "influence.csv", table)
-    kshell.write_coverage_csv(out / "network" / "coverage.csv", curves)
-
-    filters: dict[str, DynamicNetwork] = {"full": network}
-    for name in config.filters:
-        if name == "full":
-            continue
-        filters[name] = typed_network(links, spec, name, participations)
-        write_edge_csv(out / "network" / f"frames_{name}.csv", filters[name].frames)
-
-    summary: dict = {
-        "source": source,
-        "network": {
-            "members": len(network.members),
-            "frames": network.frame_count,
-            "teams": len(records),
-            "links": len(links),
-            "activities_a": len(activity_ids["A"]),
-            "activities_b": len(activity_ids["B"]),
-            "frame_spec": spec.describe(),
-        },
+    member_stats = _member_stats(network, agg, closeness_all(agg))
+    kshell.write_influence_csv(bundle.path("network/influence.csv"), table)
+    kshell.write_coverage_csv(bundle.path("network/coverage.csv"), curves)
+    blocks = {
         "shell_statistics": {
             "dynamic": table.shell_statistics(),
             "dynamic_max_total": max(table.total.values(), default=0),
-            "aggregate_distinct_shells": aggregate_stats.distinct_shells(),
-            "aggregate_max_shell": aggregate_stats.max_shell(),
+            "aggregate_distinct_shells": agg_shells.distinct_shells(),
+            "aggregate_max_shell": agg_shells.max_shell(),
         },
         "coverage": {
             method: {str(x): value for x, value in points}
             for method, points in curves.items()
         },
-        "x": {},
     }
+    return table, member_stats, blocks
 
-    result = PipelineResult(
-        out_dir=out,
-        summary=summary,
-        manifest={},
-        network=network,
+
+def _split_backbone(table, x, member_stats, bundle: _Bundle, xdir: str):
+    """The backbone split at X, its member profiles and the summary's X
+    block, whose ``filters`` tier two fills in."""
+    split = kshell.select_backbone(table, x)
+    profiles = member_profiles(split, member_stats)
+    write_backbone_csv(bundle.path(f"{xdir}/backbone.csv"), split)
+    write_profiles_csv(bundle.path(f"{xdir}/profiles.csv"), x, profiles)
+    block = {
+        "backbone_size": len(split.backbone),
+        "profiles": {g: dataclasses.asdict(row) for g, row in profiles.items()},
+        "filters": {},
+    }
+    return split, profiles, block
+
+
+def _analyze_filter(fnet, split, config: PipelineConfig, bundle: _Bundle, fdir: str):
+    """Tier two for one (X, filter) pair: communities of each side, their
+    evolution, the community-level abstraction and its metrics.
+
+    Returns the pair's summary block, metric rows and edge weight by class.
+    """
+    block: dict = {}
+    partitions, events = {}, {}
+    sides = (
+        ("bsn", split.backbone, config.seed),
+        ("gsn", split.general, config.seed + 500009),
     )
-
-    # --- per selection percentage ---------------------------------------------
-    for x in config.x_values:
-        split = kshell.select_backbone(table, x)
-        result.splits[x] = split
-        xdir = out / f"x{x:g}"
-        xdir.mkdir(exist_ok=True)
-        write_backbone_csv(xdir / "backbone.csv", split)
-        profiles = member_profiles(split, member_stats)
-        result.profiles[x] = profiles
-        write_profiles_csv(xdir / "profiles.csv", x, profiles)
-        x_summary: dict = {
-            "backbone_size": len(split.backbone),
-            "profiles": {g: row.as_dict() for g, row in profiles.items()},
-            "filters": {},
+    for side, members, seed in sides:
+        parts = community.detect_all(
+            [f.restrict(members) for f in fnet.frames], seed=seed
+        )
+        community.write_partition_csv(
+            bundle.path(f"{fdir}/partitions_{side}.csv"), parts.partitions
+        )
+        timeline = evolution.classify(
+            evolution.timeline_from_partitions(parts.partitions),
+            alpha=config.alpha,
+            beta=config.beta,
+            continue_jaccard=config.continue_jaccard,
+        )
+        evolution.write_event_csv(
+            bundle.path(f"{fdir}/events_{side}.csv"), timeline.events
+        )
+        partitions[side], events[side] = parts.partitions, timeline.events
+        block[side] = {
+            "average_q": parts.average_q,
+            "degenerate_frames": parts.degenerate_frames,
         }
+    agraphs = [
+        abstraction.abstract(frame, bsn, gsn, split)
+        for frame, bsn, gsn in zip(fnet.frames, partitions["bsn"], partitions["gsn"])
+    ]
+    abstraction.write_abstract_csv(bundle.path(f"{fdir}/abstract.csv"), agraphs)
+    rows = [abstraction.frame_metrics(g) for g in agraphs]
+    abstraction.write_metrics_csv(bundle.path(f"{fdir}/metrics.csv"), rows)
+    totals = {"BBE": 0, "GGE": 0, "BGE": 0}
+    for agraph in agraphs:
+        for cls, weight in agraph.class_edge_weights().items():
+            totals[cls] += weight
+    weight_sum = sum(totals.values())
+    block["event_shares"] = evolution.event_shares(events)
+    block["tier2"] = {
+        "edge_weight_totals": totals,
+        "edge_weight_shares": (
+            {cls: totals[cls] / weight_sum for cls in sorted(totals)}
+            if weight_sum
+            else None
+        ),
+        "frames_with_edges": sum(1 for g in agraphs if g.edge_count),
+        "mean_density_bc": _mean(r["density_bc"] for r in rows),
+        "mean_density_gc": _mean(r["density_gc"] for r in rows),
+        "mean_betweenness_bc": _mean(r["mean_betweenness_bc"] for r in rows),
+        "mean_betweenness_gc": _mean(r["mean_betweenness_gc"] for r in rows),
+    }
+    return block, rows, totals
 
-        for fname in config.filters:
-            fnet = filters[fname]
-            fdir = xdir / fname
-            fdir.mkdir(exist_ok=True)
-            bsn_frames = [f.restrict(split.backbone) for f in fnet.frames]
-            gsn_frames = [f.restrict(split.general) for f in fnet.frames]
-            bsn_parts = community.detect_all(bsn_frames, seed=config.seed)
-            gsn_parts = community.detect_all(gsn_frames, seed=config.seed + 500009)
-            community.write_partition_csv(fdir / "partitions_bsn.csv", bsn_parts.partitions)
-            community.write_partition_csv(fdir / "partitions_gsn.csv", gsn_parts.partitions)
-            timelines = {}
-            for side, parts in (("bsn", bsn_parts), ("gsn", gsn_parts)):
-                timeline = evolution.classify(
-                    evolution.timeline_from_partitions(parts.partitions),
-                    alpha=config.alpha,
-                    beta=config.beta,
-                    continue_jaccard=config.continue_jaccard,
-                )
-                timelines[side] = timeline
-                evolution.write_event_csv(fdir / f"events_{side}.csv", timeline.events)
-            agraphs = [
-                abstraction.abstract(
-                    fnet.frames[t],
-                    bsn_parts.partitions[t],
-                    gsn_parts.partitions[t],
-                    split,
-                )
-                for t in range(fnet.frame_count)
-            ]
-            abstraction.write_abstract_csv(fdir / "abstract.csv", agraphs)
-            metric_rows = [abstraction.frame_metrics(g) for g in agraphs]
-            abstraction.write_metrics_csv(fdir / "metrics.csv", metric_rows)
-            result.metrics[(x, fname)] = metric_rows
-            totals = {"BBE": 0, "GGE": 0, "BGE": 0}
-            for agraph in agraphs:
-                for cls, weight in agraph.class_edge_weights().items():
-                    totals[cls] += weight
-            result.edge_totals[(x, fname)] = totals
-            frames_with_edges = sum(1 for g in agraphs if g.edge_count)
-            weight_sum = sum(totals.values())
-            x_summary["filters"][fname] = {
-                "bsn": {
-                    "average_q": bsn_parts.average_q,
-                    "degenerate_frames": bsn_parts.degenerate_frames,
-                },
-                "gsn": {
-                    "average_q": gsn_parts.average_q,
-                    "degenerate_frames": gsn_parts.degenerate_frames,
-                },
-                "event_shares": _shares_by_group(timelines),
-                "tier2": {
-                    "edge_weight_totals": totals,
-                    "edge_weight_shares": (
-                        {cls: totals[cls] / weight_sum for cls in sorted(totals)}
-                        if weight_sum
-                        else None
-                    ),
-                    "frames_with_edges": frames_with_edges,
-                    "mean_density_bc": _mean(r["density_bc"] for r in metric_rows),
-                    "mean_density_gc": _mean(r["density_gc"] for r in metric_rows),
-                    "mean_betweenness_bc": _mean(
-                        r["mean_betweenness_bc"] for r in metric_rows
-                    ),
-                    "mean_betweenness_gc": _mean(
-                        r["mean_betweenness_gc"] for r in metric_rows
-                    ),
-                },
-            }
-        summary["x"][str(x)] = x_summary
 
+def _write_index(bundle: _Bundle, config: PipelineConfig, summary: dict) -> dict:
+    """Write ``summary.json`` and ``manifest.json``; the manifest lists
+    every file of the bundle, both of these included."""
     config_dump = dataclasses.asdict(config)
     # the manifest lives inside the bundle, so the output path is implied;
     # dropping it keeps bundles byte-identical across destinations
     config_dump.pop("out_dir", None)
     if config.input is not None:
         config_dump["input"] = str(config.input)
+    paths = bundle.path("summary.json"), bundle.path("manifest.json")
     manifest = {
         "tool": "twotier",
         "version": _version(),
         "prng": synth.PRNG_NAME,
         "config": config_dump,
-        "artifacts": sorted(
-            str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()
-        ),
+        "artifacts": sorted(bundle.files),
     }
-    result.manifest = manifest
-    with open(out / "summary.json", "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    manifest["artifacts"] = sorted(
-        set(manifest["artifacts"]) | {"summary.json", "manifest.json"}
-    )
-    with open(out / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    result.elapsed_seconds = time.perf_counter() - started
-    return result
+    for path, data in zip(paths, (summary, manifest)):
+        with open(path, "w") as handle:
+            json.dump(data, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    return manifest
 
 
 def _mean(values) -> float:

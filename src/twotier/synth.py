@@ -79,6 +79,13 @@ class SynthConfig:
     #: blocks' influence levels so the ranking stays block-ordered.
     regular_grading: tuple[float, ...] = (2.7, 1.45, 0.65, 0.5, 0.37, 0.33)
 
+    def frame_spec(self) -> FrameSpec:
+        """The generated log's frames: ``frames`` windows of
+        ``window_months`` calendar months from ``span_start``."""
+        start = parse_timestamp(self.span_start)
+        end = add_months(start, self.frames * self.window_months)
+        return FrameSpec(start, end, window_months=self.window_months)
+
     def validate(self) -> None:
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
@@ -154,12 +161,7 @@ def generate(config: SynthConfig) -> tuple[list[TeamRecord], GroundTruth]:
     """
     config.validate()
     rng = random.Random(config.seed)
-    start = parse_timestamp(config.span_start)
-    spec = FrameSpec(
-        start,
-        add_months(start, config.frames * config.window_months),
-        window_months=config.window_months,
-    )
+    spec = config.frame_spec()
     frame_bounds = _frame_seconds(spec.boundaries())
 
     cores = [

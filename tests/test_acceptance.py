@@ -26,6 +26,7 @@ from twotier.ingest import (
     team_participations,
 )
 from twotier.kshell import (
+    aggregate_ranking,
     coverage_curve,
     dynamic_influence,
     weighted_degree_value,
@@ -131,8 +132,8 @@ def test_04_coverage_monotone_and_dynamic_dominates():
     net = build_frames(expand_teams(records), spec, team_participations(records))
     agg = aggregate(net)
     xs = list(range(1, 51))
-    dyn = coverage_curve(net, "dwks", xs, aggregate_graph=agg)
-    stat = coverage_curve(net, "wks_aggregate", xs, aggregate_graph=agg)
+    dyn = coverage_curve(net, dynamic_influence(net, agg).ranking(), xs)
+    stat = coverage_curve(agg, aggregate_ranking(agg, wks_decompose(agg)), xs)
     problems = []
     for label, curve in (("dwks", dyn), ("wks_aggregate", stat)):
         vals = [c for _, c in curve]

@@ -49,11 +49,23 @@ def test_cli_error_paths(tmp_path, capsys):
     code = main(["analyze", "--preset", "small", "--x", "ten",
                  "--out-dir", str(tmp_path / "z")])
     assert code == 2
+    # a config file that is not JSON is named in the message
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"preset": "small", }')
+    code = main(["analyze", "--config", str(bad), "--out-dir", str(tmp_path / "w")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_report_rejects_missing_bundle(tmp_path, capsys):
     code = main(["report", "--bundle", str(tmp_path / "nothing")])
     assert code == 2
+    # a summary.json without the twotier layout is rejected, not a traceback
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "summary.json").write_text("{}")
+    code = main(["report", "--bundle", str(tmp_path / "other")])
+    assert code == 2
+    assert "is not a twotier summary" in capsys.readouterr().err
 
 
 def test_subcommand_required():

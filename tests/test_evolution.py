@@ -170,8 +170,8 @@ def test_event_shares_percentages():
         [F({"a", "b"}), F({"c", "d"})],
     ])
     rows = event_shares({"bsn": tl.events})
-    row = rows[0]
-    assert row["group"] == "bsn"
+    assert list(rows) == ["bsn"]
+    row = rows["bsn"]
     assert row["events"] == 4  # 2 Form + 2 Continue
     assert row["Form"] == pytest.approx(50.0)
     assert row["Continue"] == pytest.approx(50.0)

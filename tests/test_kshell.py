@@ -6,6 +6,7 @@ import pytest
 from twotier.graph import DynamicNetwork, FrameGraph, aggregate
 from twotier.ingest import FrameSpec, add_months, parse_timestamp
 from twotier.kshell import (
+    aggregate_ranking,
     backbone_size,
     coverage,
     coverage_curve,
@@ -149,14 +150,12 @@ def test_coverage_curves_are_monotone_and_comparable():
     net = _network(frame_edges)
     xs = list(range(1, 51))
     agg = aggregate(net)
-    dyn = coverage_curve(net, "dwks", xs, aggregate_graph=agg)
-    stat = coverage_curve(net, "wks_aggregate", xs, aggregate_graph=agg)
+    dyn = coverage_curve(net, dynamic_influence(net, agg).ranking(), xs)
+    stat = coverage_curve(agg, aggregate_ranking(agg, wks_decompose(agg)), xs)
     for curve in (dyn, stat):
         values = [c for _, c in curve]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert all(0.0 <= c <= 1.0 for c in values)
-    with pytest.raises(ValueError):
-        coverage_curve(net, "bogus", xs)
 
 
 def test_csv_writers(tmp_path):

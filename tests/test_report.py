@@ -45,6 +45,15 @@ def test_config_validation():
             PipelineConfig(**{key: value}).validate()
         assert key in str(err.value)
     PipelineConfig(input=Path("log.csv"), out_dir=Path("out")).validate()
+    # X values are normalised (10.0 -> 10) and may not repeat after that
+    cfg = PipelineConfig(x_values=(10.0, 2.5), curve_x=[5.0])
+    cfg.validate()
+    assert cfg.x_values == (10, 2.5) and type(cfg.x_values[0]) is int
+    assert cfg.curve_x == (5,) and type(cfg.curve_x[0]) is int
+    for key in ("x_values", "curve_x"):
+        with pytest.raises(ValueError) as err:
+            PipelineConfig(**{key: (10.0, 10)}).validate()
+        assert key in str(err.value)
 
 
 def test_filters_depend_on_type_filter():
@@ -181,6 +190,25 @@ def test_pipeline_reads_log_files(tmp_path):
         assert (tmp_path / "out_path" / name).read_bytes() == (
             tmp_path / "out" / name
         ).read_bytes()
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.is_file() and p.read_bytes()
+            for p in root.rglob("*")}
+
+
+def test_rerun_into_used_directory_matches_fresh_run(tmp_path):
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    run_pipeline(PipelineConfig(preset="small", x_values=(5, 10), curve_x=(10,),
+                                out_dir=str(used)))
+    (used / "notes.txt").write_text("not listed, so kept")
+    second = dict(preset="small", x_values=(10,), curve_x=(10,), type_filter="A")
+    run_pipeline(PipelineConfig(out_dir=str(used), **second))
+    run_pipeline(PipelineConfig(out_dir=str(fresh), **second))
+    tree = _tree(used)
+    assert tree.pop("notes.txt") == b"not listed, so kept"
+    assert tree == _tree(fresh)
+    assert "x5" not in tree and "network/frames_B.csv" not in tree
 
 
 def test_pipeline_infers_jsonl_from_suffix(tmp_path):
