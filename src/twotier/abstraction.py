@@ -10,7 +10,6 @@ are classed by their endpoints: BC-BC -> BBE, GC-GC -> GGE, mixed -> BGE.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -166,36 +165,44 @@ def betweenness(agraph: AbstractGraph) -> dict[NodeKey, float]:
     For each unordered node pair (m, n), a node z != m, n accrues the
     fraction of shortest m-n paths passing through it.  Paths are hop-based
     (edge weights do not shorten them).
+
+    Brandes' algorithm (J. Math. Sociol. 2001) on dense node indices.  A
+    source without neighbours reaches no one and adds exactly 0, so it is
+    skipped.
     """
     order = list(agraph._adj)
-    score = {v: 0.0 for v in order}
-    for source in order:
+    index = {v: i for i, v in enumerate(order)}
+    nbrs = [[index[u] for u in agraph._adj[v]] for v in order]
+    n = len(order)
+    score = [0.0] * n
+    for source in range(n):
+        if not nbrs[source]:
+            continue
         # single-source shortest-path counts (breadth-first)
-        stack: list[NodeKey] = []
-        preds: dict[NodeKey, list[NodeKey]] = {v: [] for v in order}
-        sigma = {v: 0.0 for v in order}
+        stack = [source]
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0.0] * n
         sigma[source] = 1.0
-        dist: dict[NodeKey, int] = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for u in agraph._adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-                if dist[u] == dist[v] + 1:
+        dist = [-1] * n
+        dist[source] = 0
+        for v in stack:  # the stack doubles as the BFS queue
+            dv = dist[v] + 1
+            for u in nbrs[v]:
+                if dist[u] < 0:
+                    dist[u] = dv
+                    stack.append(u)
+                if dist[u] == dv:
                     sigma[u] += sigma[v]
                     preds[u].append(v)
-        delta = {v: 0.0 for v in order}
-        while stack:
-            w = stack.pop()
+        delta = [0.0] * n
+        for w in reversed(stack):
+            sw, dw = sigma[w], 1.0 + delta[w]
             for v in preds[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+                delta[v] += (sigma[v] / sw) * dw
             if w != source:
                 score[w] += delta[w]
     # each unordered pair was counted from both endpoints
-    return {v: value * 0.5 for v, value in score.items()}
+    return {v: score[i] * 0.5 for i, v in enumerate(order)}
 
 
 def edge_weight_shares(agraph: AbstractGraph) -> tuple[float, float, float]:

@@ -33,23 +33,33 @@ def modularity(graph: FrameGraph, assignment: Mapping[str, int]) -> float:
         ValueError: if the graph has no edges (Q is undefined) or the
             assignment does not cover exactly the graph's nodes.
     """
-    if set(assignment) != set(graph.nodes):
+    nodes = graph.nodes
+    if set(assignment) != set(nodes):
         raise ValueError("assignment must cover exactly the graph's nodes")
     m2 = 2.0 * graph.total_weight
     if m2 == 0:
         raise ValueError("modularity is undefined for an edgeless graph")
+    return _modularity(((v, graph.neighbors(v)) for v in nodes), assignment, m2)
+
+
+def _modularity(
+    rows: Iterable, label: Mapping[str, int] | Sequence[int], m2: float
+) -> float:
+    """Q from ``(node, {neighbour: weight})`` rows and ``label[node]``.
+
+    Both sums per community add up integer weights, so they are exact in
+    any order; the terms are added by ascending community label.
+    """
     internal: dict[int, float] = {}
     tot: dict[int, float] = {}
-    for node in graph.nodes:
-        c = assignment[node]
-        tot[c] = tot.get(c, 0.0) + graph.strength(node)
-    for u, v, w in graph.edges():
-        if assignment[u] == assignment[v]:
-            c = assignment[u]
-            internal[c] = internal.get(c, 0.0) + 2.0 * w
+    for v, row in rows:
+        c = label[v]
+        tot[c] = tot.get(c, 0) + sum(row.values())
+        inside = sum(w for u, w in row.items() if label[u] == c)
+        internal[c] = internal.get(c, 0) + inside
     q = 0.0
     for c in sorted(tot):
-        q += internal.get(c, 0.0) / m2 - (tot[c] / m2) ** 2
+        q += internal[c] / m2 - (tot[c] / m2) ** 2
     return q
 
 
@@ -80,17 +90,6 @@ class Partition:
         return [frozenset(g) for g in groups]
 
 
-def _renumber(assignment: Mapping[str, int]) -> dict[str, int]:
-    """Relabel communities as 0..C-1 ordered by smallest member id."""
-    smallest: dict[int, str] = {}
-    for node, c in assignment.items():
-        if c not in smallest or node < smallest[c]:
-            smallest[c] = node
-    order = sorted(smallest, key=lambda c: smallest[c])
-    remap = {c: i for i, c in enumerate(order)}
-    return {node: remap[c] for node, c in sorted(assignment.items())}
-
-
 def _move_nodes(
     adj: list[dict[int, float]],
     k: list[float],
@@ -105,43 +104,72 @@ def _move_nodes(
     with the largest modularity gain (ties keep the node where it is, else
     pick the smallest label), until a sweep makes no move.  With
     ``isolate``, a node whose every option loses modularity moves to a fresh
-    singleton community instead.  Returns whether any node moved.
+    singleton community instead; ``isolate`` is for graphs without
+    self-loops, where ``k[v]`` is the sum of ``adj[v]``.  Returns whether any
+    node moved.
+
+    Strengths are sums of integer weights, so every community total in
+    ``tot`` is an integer-valued float (exact below 2**53) and taking a
+    node's strength out and back in is exact: a node that stays leaves the
+    state (``com`` and ``tot``) unchanged bit for bit.  Two shortcuts rest
+    on that, and neither changes the result:
+
+    - A node whose neighbours all sit in its own community has no other
+      community to go to, so it stays and is not evaluated.  Nor would it
+      isolate itself: its gain for staying is k[v] - k[v] * t / 2m, where
+      t <= 2m is the rest of its community's total, so never negative.
+    - A sweep that has made no move by the position of the previous sweep's
+      last move stops there.  Every later node was evaluated after that
+      move, on the state this sweep still holds, and stayed; evaluated
+      again on the same state, it stays again.  So the sweep would make no
+      move, and it is the last one.
     """
-    tot: dict[int, float] = {}
+    tot = [0.0] * (max(com, default=-1) + 1)
     for v, c in enumerate(com):
-        tot[c] = tot.get(c, 0.0) + k[v]
-    next_label = max(com, default=-1) + 1
+        tot[c] += k[v]
     moved_any = False
+    stop = len(order)  # position of the previous sweep's last move
     for _sweep in range(_MAX_SWEEPS):
-        moves = 0
-        for v in order:
+        last_move = -1
+        for pos, v in enumerate(order):
+            if pos > stop and last_move < 0:
+                break
             cv = com[v]
+            row = adj[v]
+            for u in row:
+                if com[u] != cv:
+                    break
+            else:
+                continue
             nbw: dict[int, float] = {}
-            for u, w in adj[v].items():
+            for u, w in row.items():
                 cu = com[u]
                 nbw[cu] = nbw.get(cu, 0.0) + w
             # gains are relative to v sitting alone outside any community
-            tot[cv] -= k[v]
-            best_c, best_gain = cv, nbw.get(cv, 0.0) - k[v] * tot[cv] / m2
+            kv = k[v]
+            tot[cv] -= kv
+            best_c, best_gain = cv, nbw.get(cv, 0.0) - kv * tot[cv] / m2
             for c in sorted(nbw):
                 if c == cv:
                     continue
-                gain = nbw[c] - k[v] * tot[c] / m2
+                gain = nbw[c] - kv * tot[c] / m2
                 if gain > best_gain + _EPS or (
                     gain > best_gain - _EPS and best_c != cv and c < best_c
                 ):
                     best_c, best_gain = c, gain
             if isolate and best_gain < -_EPS:
                 # isolating v (gain exactly 0) beats every existing option
-                best_c = next_label
-                next_label += 1
+                best_c = len(tot)
+                tot.append(kv)
+            else:
+                tot[best_c] += kv
             com[v] = best_c
-            tot[best_c] = tot.get(best_c, 0.0) + k[v]
             if best_c != cv:
-                moves += 1
-        if moves == 0:
+                last_move = pos
+        if last_move < 0:
             break
         moved_any = True
+        stop = last_move
     return moved_any
 
 
@@ -180,10 +208,11 @@ def detect(graph: FrameGraph, seed: int = 42) -> Partition:
         assignment = {v: i for i, v in enumerate(nodes)}
         return Partition(graph.frame_index, assignment, 0.0, degenerate=True)
     index = {v: i for i, v in enumerate(nodes)}
+    rows = [graph.neighbors(v) for v in nodes]
     adj: list[dict[int, float]] = [
-        {index[u]: float(w) for u, w in graph.neighbors(v).items()} for v in nodes
+        {index[u]: float(w) for u, w in row.items()} for row in rows
     ]
-    k = [float(graph.strength(v)) for v in nodes]
+    k = [float(sum(row.values())) for row in rows]
     adj0, k0 = adj, k
     m2 = 2.0 * graph.total_weight
     rng = random.Random(seed)
@@ -202,8 +231,11 @@ def detect(graph: FrameGraph, seed: int = 42) -> Partition:
     # polish on the original graph: the collapsed phases alone do not make
     # the partition locally optimal under single-node moves
     _move_nodes(adj0, k0, chain, range(len(nodes)), m2, isolate=True)
-    assignment = _renumber({nodes[i]: chain[i] for i in range(len(nodes))})
-    return Partition(graph.frame_index, assignment, modularity(graph, assignment))
+    # renumber by first appearance in node order, i.e. by smallest member id
+    renumber: dict[int, int] = {}
+    labels = [renumber.setdefault(c, len(renumber)) for c in chain]
+    q = _modularity(enumerate(adj0), labels, m2)
+    return Partition(graph.frame_index, dict(zip(nodes, labels)), q)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 
 class EventKind(Enum):
@@ -51,8 +51,7 @@ ATTRIBUTE = {
 _KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
 
 
-@dataclass(frozen=True, order=True)
-class CommunityRef:
+class CommunityRef(NamedTuple):
     """Pointer to one community occurrence: (frame index, community id)."""
 
     frame: int
@@ -126,10 +125,23 @@ def match(
     thresholds must lie in (0, 1].  A community may match several on the
     other side; the caller interprets the multiplicity.
     """
+    _check_thresholds(alpha, beta)
+    prev_sets = _as_sets(prev, "predecessor frame")
+    return _match(prev_sets, _as_sets(nxt, "successor frame"), alpha, beta)
+
+
+def _check_thresholds(alpha: float, beta: float) -> None:
     if not 0 < alpha <= 1 or not 0 < beta <= 1:
         raise ValueError(f"alpha and beta must lie in (0, 1], got {alpha}, {beta}")
-    prev_sets = _as_sets(prev, "predecessor frame")
-    nxt_sets = _as_sets(nxt, "successor frame")
+
+
+def _match(
+    prev_sets: Sequence[frozenset[str]],
+    nxt_sets: Sequence[frozenset[str]],
+    alpha: float,
+    beta: float,
+) -> MatchResult:
+    """:func:`match` on member sets :func:`_as_sets` has already checked."""
     member_to_next: dict[str, int] = {}
     for j, group in enumerate(nxt_sets):
         for member in group:
@@ -197,6 +209,7 @@ def classify(
     events: list[EvolutionEvent] = []
     track_of: dict[CommunityRef, int] = {}
     pending: dict[int, CommunityRef] = {}  # track -> occurrence awaiting its fate
+    waiting: dict[str, set[int]] = {}  # member -> pending tracks holding it
     next_track = 0
 
     def start_track(ref: CommunityRef) -> int:
@@ -205,6 +218,17 @@ def classify(
         next_track += 1
         track_of[ref] = track
         return track
+
+    def suspend(track: int, ref: CommunityRef) -> None:
+        pending[track] = ref
+        for member in frames[ref.frame][ref.community]:
+            waiting.setdefault(member, set()).add(track)
+
+    def resume(track: int) -> CommunityRef:
+        ref = pending.pop(track)
+        for member in frames[ref.frame][ref.community]:
+            waiting[member].discard(track)
+        return ref
 
     if frames:
         for j, group in enumerate(frames[0]):
@@ -216,9 +240,11 @@ def classify(
                 )
             )
 
+    if len(frames) > 1:
+        _check_thresholds(alpha, beta)
     for t in range(len(frames) - 1):
         prev, nxt = frames[t], frames[t + 1]
-        result = match(prev, nxt, alpha, beta)
+        result = _match(prev, nxt, alpha, beta)
         succs, preds, overlap = result.succs, result.preds, result.overlap
 
         # An exclusive one-to-one match of unchanged size that kept too few
@@ -258,17 +284,9 @@ def classify(
 
         # Re-emergence test for unmatched successors against suspended tracks.
         unmatched = [j for j in range(len(nxt)) if not preds[j]]
-        candidates = []
-        for track, old_ref in sorted(pending.items()):
-            if (t + 1) - old_ref.frame < 2:
-                continue
-            old_members = frames[old_ref.frame][old_ref.community]
-            for j in unmatched:
-                shared = len(old_members & nxt[j])
-                if shared == 0:
-                    continue
-                if shared / len(old_members) >= alpha or shared / len(nxt[j]) >= beta:
-                    candidates.append((-shared, j, -old_ref.frame, track))
+        candidates = _reemergence_candidates(
+            frames, t + 1, unmatched, pending, waiting, alpha, beta
+        )
         resumed: dict[int, int] = {}  # successor j -> track
         used_tracks: set[int] = set()
         for neg_shared, j, neg_frame, track in sorted(candidates):
@@ -281,7 +299,7 @@ def classify(
             ref = CommunityRef(t + 1, j)
             if j in resumed:
                 track = resumed[j]
-                old_ref = pending.pop(track)
+                old_ref = resume(track)
                 track_of[ref] = track
                 events.append(
                     EvolutionEvent(
@@ -366,7 +384,7 @@ def classify(
                     )
                 )
             elif not succs[i]:
-                pending[track_of[ref]] = ref
+                suspend(track_of[ref], ref)
 
     # Tracks that broke off and never came back dissolved at their last frame.
     for track, ref in sorted(pending.items()):
@@ -387,6 +405,41 @@ def classify(
         key=lambda e: (e.frame, _KIND_ORDER[e.kind], e.successors, e.predecessors)
     )
     return Timeline(frames, events, track_of)
+
+
+def _reemergence_candidates(
+    frames: Sequence[Sequence[frozenset[str]]],
+    t: int,
+    unmatched: Sequence[int],
+    pending: Mapping[int, CommunityRef],
+    waiting: Mapping[str, Collection[int]],
+    alpha: float,
+    beta: float,
+) -> list[tuple[int, int, int, int]]:
+    """Pending tracks that an unmatched community of frame ``t`` may resume.
+
+    A track qualifies when its last occurrence lies at least two frames back
+    and passes the inclusion test against the community.  Each candidate is
+    ``(-shared, j, -last frame, track)``; their order is left to the caller.
+    Only tracks sharing a member with community j can pass, and ``waiting``
+    (member -> pending tracks holding it) yields exactly those, with the
+    shared member count, without scanning every pending track.
+    """
+    candidates = []
+    for j in unmatched:
+        group = frames[t][j]
+        shared_with: dict[int, int] = {}
+        for member in group:
+            for track in waiting.get(member, ()):
+                shared_with[track] = shared_with.get(track, 0) + 1
+        for track, shared in shared_with.items():
+            old_ref = pending[track]
+            if t - old_ref.frame < 2:
+                continue
+            old_size = len(frames[old_ref.frame][old_ref.community])
+            if shared / old_size >= alpha or shared / len(group) >= beta:
+                candidates.append((-shared, j, -old_ref.frame, track))
+    return candidates
 
 
 def timeline_from_partitions(partitions) -> list[list[frozenset[str]]]:

@@ -151,15 +151,22 @@ class FrameGraph:
 
         Restriction composes: restricting to A then to B equals restricting
         to the intersection of A and B.
+
+        The result skips the constructor's sorting and checks: filtering a
+        sorted, symmetric, loop-free graph keeps it so, in the same order.
         """
-        keep_set = set(keep) & self._adj.keys()
+        keep_set = self._adj.keys() & keep
         adj = {
             u: {v: w for v, w in row.items() if v in keep_set}
             for u, row in self._adj.items()
             if u in keep_set
         }
-        counts = {v: self._counts[v] for v in adj}
-        return FrameGraph(self.frame_index, adj, counts)
+        sub = FrameGraph.__new__(FrameGraph)
+        sub.frame_index = self.frame_index
+        sub._adj = adj
+        sub._total_weight = sum(sum(row.values()) for row in adj.values()) // 2
+        sub._counts = {v: self._counts[v] for v in adj}
+        return sub
 
 
 class DynamicNetwork:

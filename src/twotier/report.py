@@ -306,7 +306,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     summary = {"source": source, "network": network_block, **tier_one, "x": {}}
     result = PipelineResult(bundle.root, summary, {}, networks["full"])
     for x in config.x_values:
-        xdir = f"x{x:g}"
+        xdir = f"x{x}"
         split, profiles, x_block = _split_backbone(table, x, member_stats, bundle, xdir)
         for name, fnet in networks.items():
             fdir = f"{xdir}/{name}"

@@ -11,6 +11,8 @@ from collections import deque
 
 import numpy as np
 
+from twotier import community
+
 
 def naive_weighted_degree(degree: int, weight_sum: int) -> int:
     return round(math.sqrt(degree * weight_sum))
@@ -124,6 +126,25 @@ def matrix_modularity(adj: dict, assignment: dict) -> float:
     return q / two_m
 
 
+def edge_sum_modularity(graph, assignment) -> float:
+    """Modularity with float sums over node strengths and listed edges, in
+    the operation order ``community.modularity`` must reproduce exactly."""
+    m2 = 2.0 * graph.total_weight
+    internal: dict[int, float] = {}
+    tot: dict[int, float] = {}
+    for node in graph.nodes:
+        c = assignment[node]
+        tot[c] = tot.get(c, 0.0) + graph.strength(node)
+    for u, v, w in graph.edges():
+        if assignment[u] == assignment[v]:
+            c = assignment[u]
+            internal[c] = internal.get(c, 0.0) + 2.0 * w
+    q = 0.0
+    for c in sorted(tot):
+        q += internal.get(c, 0.0) / m2 - (tot[c] / m2) ** 2
+    return q
+
+
 def random_weighted_adj(rng, max_nodes: int = 50, max_edges: int = 200,
                         max_weight: int = 9) -> dict[str, dict[str, int]]:
     """A random simple weighted graph as a plain adjacency dict."""
@@ -139,3 +160,107 @@ def random_weighted_adj(rng, max_nodes: int = 50, max_edges: int = 200,
         adj[u][v] = w
         adj[v][u] = w
     return adj
+
+
+# -- the plain forms of the optimised tier-two loops ------------------------
+#
+# Each function below is the straightforward version of a loop the package
+# runs in a faster form; the tests require both to give equal results.
+
+
+def dict_brandes_betweenness(agraph) -> dict:
+    """Brandes' betweenness keyed by node, every source visited.
+
+    Same operations in the same order as ``abstraction.betweenness``, over
+    per-source dicts instead of index lists.
+    """
+    order = list(agraph._adj)
+    score = {v: 0.0 for v in order}
+    for source in order:
+        stack = []
+        preds = {v: [] for v in order}
+        sigma = {v: 0.0 for v in order}
+        sigma[source] = 1.0
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for u in agraph._adj[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+                if dist[u] == dist[v] + 1:
+                    sigma[u] += sigma[v]
+                    preds[u].append(v)
+        delta = {v: 0.0 for v in order}
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                score[w] += delta[w]
+    return {v: value * 0.5 for v, value in score.items()}
+
+
+def full_sweep_move_nodes(adj, k, com, order, m2, isolate) -> bool:
+    """``community._move_nodes`` evaluating every node in every sweep.
+
+    Reads ``_MAX_SWEEPS`` and ``_EPS`` from the community module at call
+    time, so patching the cap there caps both versions.
+    """
+    eps = community._EPS
+    tot: dict[int, float] = {}
+    for v, c in enumerate(com):
+        tot[c] = tot.get(c, 0.0) + k[v]
+    next_label = max(com, default=-1) + 1
+    moved_any = False
+    for _sweep in range(community._MAX_SWEEPS):
+        moves = 0
+        for v in order:
+            cv = com[v]
+            nbw: dict[int, float] = {}
+            for u, w in adj[v].items():
+                cu = com[u]
+                nbw[cu] = nbw.get(cu, 0.0) + w
+            tot[cv] -= k[v]
+            best_c, best_gain = cv, nbw.get(cv, 0.0) - k[v] * tot[cv] / m2
+            for c in sorted(nbw):
+                if c == cv:
+                    continue
+                gain = nbw[c] - k[v] * tot[c] / m2
+                if gain > best_gain + eps or (
+                    gain > best_gain - eps and best_c != cv and c < best_c
+                ):
+                    best_c, best_gain = c, gain
+            if isolate and best_gain < -eps:
+                best_c = next_label
+                next_label += 1
+            com[v] = best_c
+            tot[best_c] = tot.get(best_c, 0.0) + k[v]
+            if best_c != cv:
+                moves += 1
+        if moves == 0:
+            break
+        moved_any = True
+    return moved_any
+
+
+def pairwise_reemergence_candidates(
+    frames, t, unmatched, pending, waiting, alpha, beta
+) -> list:
+    """``evolution._reemergence_candidates`` by testing every pending track
+    against every unmatched community (``waiting`` is ignored)."""
+    candidates = []
+    for track, old_ref in sorted(pending.items()):
+        if t - old_ref.frame < 2:
+            continue
+        old_members = frames[old_ref.frame][old_ref.community]
+        for j in unmatched:
+            shared = len(old_members & frames[t][j])
+            if shared == 0:
+                continue
+            if (shared / len(old_members) >= alpha
+                    or shared / len(frames[t][j]) >= beta):
+                candidates.append((-shared, j, -old_ref.frame, track))
+    return candidates

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from twotier.abstraction import (
@@ -16,7 +17,7 @@ from twotier.abstraction import (
 )
 from twotier.graph import FrameGraph
 
-from .oracles import brute_betweenness
+from .oracles import brute_betweenness, dict_brandes_betweenness, random_weighted_adj
 
 
 def _agraph(n_bc, n_gc, edges):
@@ -115,6 +116,39 @@ def test_betweenness_matches_brute_enumeration():
         want = brute_betweenness(adj)
         got = betweenness(ag)
         for k in keys:
+            assert got[k] == pytest.approx(want[k], abs=1e-9)
+
+
+def _random_agraph(rng):
+    """An abstract graph over a random_weighted_adj topology, classes mixed."""
+    adj = random_weighted_adj(rng, max_nodes=40, max_edges=rng.choice((10, 60, 150)))
+    key = {v: (rng.choice(("BC", "GC")), i) for i, v in enumerate(sorted(adj))}
+    edges = {}
+    for u, row in adj.items():
+        for v, w in row.items():
+            a, b = sorted((key[u], key[v]))
+            edges[(a, b)] = w
+    return AbstractGraph(3, {k: 1 for k in key.values()}, edges)
+
+
+def test_betweenness_equals_dict_keyed_brandes():
+    rng = random.Random(2001)
+    for _ in range(60):
+        ag = _random_agraph(rng)
+        assert betweenness(ag) == dict_brandes_betweenness(ag)
+
+
+def test_betweenness_matches_networkx():
+    rng = random.Random(77)
+    for _ in range(40):
+        ag = _random_agraph(rng)
+        g = nx.Graph()
+        g.add_nodes_from(ag.sizes)
+        g.add_edges_from(ag.edges)
+        want = nx.betweenness_centrality(g, normalized=False)
+        got = betweenness(ag)
+        assert set(got) == set(want)
+        for k in got:
             assert got[k] == pytest.approx(want[k], abs=1e-9)
 
 

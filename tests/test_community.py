@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twotier import community
 from twotier.community import (
     FramePartitionSet,
     detect,
@@ -12,7 +13,12 @@ from twotier.community import (
 )
 from twotier.graph import FrameGraph
 
-from .oracles import matrix_modularity, random_weighted_adj
+from .oracles import (
+    edge_sum_modularity,
+    full_sweep_move_nodes,
+    matrix_modularity,
+    random_weighted_adj,
+)
 
 
 def _clique(prefix, size, weight=1):
@@ -31,6 +37,16 @@ def test_modularity_matches_matrix_oracle():
         assignment = {v: rng.randrange(4) for v in adj}
         want = matrix_modularity(adj, assignment)
         assert modularity(g, assignment) == pytest.approx(want, abs=1e-12)
+
+
+def test_modularity_equals_edge_sum_form():
+    rng = random.Random(4242)
+    for _ in range(60):
+        g = FrameGraph(0, random_weighted_adj(rng, max_nodes=40, max_edges=150))
+        if g.total_weight == 0:
+            continue
+        assignment = {v: rng.randrange(rng.randint(1, 6)) for v in g.nodes}
+        assert modularity(g, assignment) == edge_sum_modularity(g, assignment)
 
 
 def test_modularity_single_community_is_zero():
@@ -138,3 +154,40 @@ def test_detect_all_aggregates_q(tmp_path):
     back = read_partition_csv(path)
     assert back[0] == result.partitions[0].assignment
     assert back[1] == result.partitions[1].assignment
+
+
+def test_move_nodes_equals_full_sweep_kernel():
+    """Skipping settled nodes and ending the last sweep early change nothing."""
+    rng = random.Random(94)
+    for _ in range(120):
+        g = FrameGraph(0, random_weighted_adj(rng, max_nodes=30, max_edges=90))
+        if g.total_weight == 0:
+            continue
+        index = {v: i for i, v in enumerate(g.nodes)}
+        adj = [{index[u]: float(w) for u, w in g.neighbors(v).items()} for v in g.nodes]
+        k = [float(g.strength(v)) for v in g.nodes]
+        start = [rng.randrange(len(adj)) for _ in adj]  # some labels unused
+        order = rng.sample(range(len(adj)), len(adj))
+        m2 = 2.0 * g.total_weight
+        for isolate in (False, True):
+            fast, slow = list(start), list(start)
+            moved = community._move_nodes(adj, k, fast, order, m2, isolate)
+            assert moved == full_sweep_move_nodes(adj, k, slow, order, m2, isolate)
+            assert fast == slow
+
+
+@pytest.mark.parametrize("max_sweeps", [None, 1, 2])
+def test_detect_equals_full_sweep_kernel(monkeypatch, max_sweeps):
+    """Equal assignments and Q, also when the sweep cap cuts the runs short."""
+    if max_sweeps is not None:
+        monkeypatch.setattr(community, "_MAX_SWEEPS", max_sweeps)
+    rng = random.Random(1008)
+    for trial in range(40):
+        edges = rng.choice((30, 120, 400))
+        g = FrameGraph(0, random_weighted_adj(rng, max_nodes=50, max_edges=edges))
+        fast = detect(g, seed=trial)
+        with monkeypatch.context() as patched:
+            patched.setattr(community, "_move_nodes", full_sweep_move_nodes)
+            slow = detect(g, seed=trial)
+        assert fast.assignment == slow.assignment
+        assert fast.q == slow.q

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from twotier import evolution
+from twotier.community import detect
 from twotier.evolution import (
     ATTRIBUTE,
     CommunityRef,
@@ -11,7 +15,10 @@ from twotier.evolution import (
     timeline_from_partitions,
     write_event_csv,
 )
+from twotier.graph import FrameGraph
 from twotier.synth import scripted_event_timeline
+
+from .oracles import pairwise_reemergence_candidates, random_weighted_adj
 
 F = frozenset
 
@@ -122,6 +129,39 @@ def test_suspend_and_reemerge_bridge_a_gap():
     assert ree[0].frame == 3
     # the resumed community keeps its original track
     assert ree[0].track_id == sus[0].track_id
+
+
+def test_classify_equals_pairwise_reemergence_scan(monkeypatch):
+    """The member index finds the candidates the full scan finds, so events
+    and tracks are equal on logs where many tracks suspend and re-emerge."""
+    indexed = evolution._reemergence_candidates
+
+    def checked(*args):
+        got = indexed(*args)
+        assert sorted(got) == sorted(pairwise_reemergence_candidates(*args))
+        return got
+
+    rng = random.Random(96)
+    reemerged = 0
+    for _ in range(30):
+        frames = []
+        for t in range(rng.randint(2, 30)):
+            edges = rng.choice((10, 30, 60))
+            adj = random_weighted_adj(rng, max_nodes=25, max_edges=edges)
+            frames.append(detect(FrameGraph(t, adj), seed=t).communities())
+        alpha, beta = rng.choice(((0.5, 0.5), (0.3, 0.8), (1.0, 1.0)))
+        with monkeypatch.context() as patched:
+            patched.setattr(evolution, "_reemergence_candidates", checked)
+            fast = classify(frames, alpha, beta)
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                evolution, "_reemergence_candidates", pairwise_reemergence_candidates
+            )
+            slow = classify(frames, alpha, beta)
+        assert fast.events == slow.events
+        assert fast.track_of == slow.track_of
+        reemerged += len(_events_of(fast, EventKind.REEMERGE))
+    assert reemerged >= 100
 
 
 def test_pending_tracks_dissolve_at_end():

@@ -64,6 +64,44 @@ def test_restrict_keeps_internal_edges_only():
     assert sub.weight("c", "d") == 0
 
 
+def _random_frame(rng):
+    adj = random_weighted_adj(rng, max_nodes=30, max_edges=rng.choice((5, 40, 120)))
+    counts = {
+        v: (rng.randint(0, 3), rng.randint(0, 3)) for v in adj if rng.random() < 0.7
+    }
+    return FrameGraph(rng.randint(0, 9), adj, counts)
+
+
+def _same_graph(a, b):
+    return a == b and a.nodes == b.nodes and a.total_weight == b.total_weight
+
+
+def test_restrict_equals_validating_constructor():
+    rng = random.Random(808)
+    for _ in range(80):
+        g = _random_frame(rng)
+        keep = set(rng.sample(g.nodes, rng.randint(0, len(g)))) | {"ghost"}
+        sub = g.restrict(keep)
+        adj = {
+            u: {v: g.weight(u, v) for v in rng.sample(list(g.neighbors(u)), g.degree(u))
+                if v in keep}
+            for u in rng.sample(g.nodes, len(g)) if u in keep
+        }
+        counts = {v: g.activity_counts(v) for v in adj}
+        assert _same_graph(sub, FrameGraph(g.frame_index, adj, counts))
+        assert all(sub.activity_counts(v) == g.activity_counts(v) for v in sub.nodes)
+
+
+def test_restrict_composes():
+    rng = random.Random(909)
+    for _ in range(80):
+        g = _random_frame(rng)
+        a = set(rng.sample(g.nodes, rng.randint(0, len(g))))
+        b = set(rng.sample(g.nodes, rng.randint(0, len(g))))
+        assert _same_graph(g.restrict(a).restrict(b), g.restrict(a & b))
+        assert _same_graph(g.restrict(g.nodes), g)
+
+
 def test_network_frame_index_must_match_position():
     spec = _spec(2)
     f0 = FrameGraph.from_edges(0, [("a", "b", 1)])

@@ -211,6 +211,18 @@ def test_rerun_into_used_directory_matches_fresh_run(tmp_path):
     assert "x5" not in tree and "network/frames_B.csv" not in tree
 
 
+def test_each_x_gets_its_own_directory(tmp_path):
+    xs = (10.5, 10.500001)  # equal to 6 significant digits
+    run_pipeline(PipelineConfig(preset="small", x_values=xs, curve_x=(10,),
+                                type_filter="A", out_dir=str(tmp_path)))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary["x"]) == ["10.5", "10.500001"]
+    for key in summary["x"]:
+        lines = (tmp_path / f"x{key}" / "profiles.csv").read_text().splitlines()
+        assert {line.split(",")[0] for line in lines[1:]} == {key}
+        assert (tmp_path / f"x{key}" / "A" / "metrics.csv").is_file()
+
+
 def test_pipeline_infers_jsonl_from_suffix(tmp_path):
     from twotier.synth import generate, small_preset, write_log_jsonl
 
