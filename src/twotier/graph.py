@@ -10,10 +10,7 @@ shipped implementation is sequential, which keeps runs bit-reproducible).
 from __future__ import annotations
 
 import csv
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .ingest import FrameSpec
+from typing import Iterable, Iterator, Mapping, Sequence
 
 #: Frame index used for the all-frames aggregate graph.
 AGGREGATE_FRAME = -1
@@ -29,17 +26,12 @@ class FrameGraph:
     Edge weights count interaction links between a node pair inside the
     frame, so they are integers >= 1.  Self-loops are rejected.  The node set
     may include isolated nodes (members who only joined singleton teams).
-    ``activity_counts`` tracks per-node team participations inside the frame,
-    split into (rewarding, non_rewarding).
     """
 
-    __slots__ = ("frame_index", "_adj", "_counts", "_total_weight")
+    __slots__ = ("frame_index", "_adj", "_total_weight")
 
     def __init__(
-        self,
-        frame_index: int,
-        adjacency: Mapping[str, Mapping[str, int]],
-        activity_counts: Mapping[str, tuple[int, int]] | None = None,
+        self, frame_index: int, adjacency: Mapping[str, Mapping[str, int]]
     ) -> None:
         adj: dict[str, dict[str, int]] = {}
         for node in sorted(adjacency):
@@ -61,8 +53,6 @@ class FrameGraph:
         self.frame_index = frame_index
         self._adj = adj
         self._total_weight = total // 2
-        counts = dict(activity_counts or {})
-        self._counts = {v: counts.get(v, (0, 0)) for v in adj}
 
     # -- construction helpers ------------------------------------------------
 
@@ -72,7 +62,6 @@ class FrameGraph:
         frame_index: int,
         edges: Iterable[tuple[str, str, int]],
         nodes: Iterable[str] = (),
-        activity_counts: Mapping[str, tuple[int, int]] | None = None,
     ) -> "FrameGraph":
         """Build a graph from ``(u, v, weight)`` triples plus extra isolated nodes.
 
@@ -87,7 +76,7 @@ class FrameGraph:
             adj.setdefault(v, {})
             adj[u][v] = adj[u].get(v, 0) + w
             adj[v][u] = adj[v].get(u, 0) + w
-        return cls(frame_index, adj, activity_counts)
+        return cls(frame_index, adj)
 
     # -- read access ---------------------------------------------------------
 
@@ -100,11 +89,7 @@ class FrameGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameGraph):
             return NotImplemented
-        return (
-            self.frame_index == other.frame_index
-            and self._adj == other._adj
-            and self._counts == other._counts
-        )
+        return self.frame_index == other.frame_index and self._adj == other._adj
 
     @property
     def nodes(self) -> Sequence[str]:
@@ -130,14 +115,6 @@ class FrameGraph:
     def strength(self, node: str) -> int:
         """Sum of incident edge weights."""
         return sum(self._adj[node].values())
-
-    def weight(self, u: str, v: str, default: int = 0) -> int:
-        row = self._adj.get(u)
-        return default if row is None else row.get(v, default)
-
-    def activity_counts(self, node: str) -> tuple[int, int]:
-        """(rewarding, non_rewarding) participation counts for ``node``."""
-        return self._counts[node]
 
     def edges(self) -> Iterator[tuple[str, str, int]]:
         """Yield each undirected edge once as ``(u, v, w)`` with ``u < v``."""
@@ -165,20 +142,19 @@ class FrameGraph:
         sub.frame_index = self.frame_index
         sub._adj = adj
         sub._total_weight = sum(sum(row.values()) for row in adj.values()) // 2
-        sub._counts = {v: self._counts[v] for v in adj}
         return sub
 
 
 class DynamicNetwork:
-    """Ordered sequence of frame snapshots over a fixed member registry."""
+    """Ordered sequence of frame snapshots over a fixed member registry.
 
-    __slots__ = ("frames", "spec", "members")
+    The registry covers every frame's nodes and may hold more members.
+    """
+
+    __slots__ = ("frames", "members")
 
     def __init__(
-        self,
-        frames: Sequence[FrameGraph],
-        spec: "FrameSpec | None" = None,
-        members: Iterable[str] | None = None,
+        self, frames: Sequence[FrameGraph], members: Iterable[str] | None = None
     ) -> None:
         self.frames = list(frames)
         for t, frame in enumerate(self.frames):
@@ -186,15 +162,16 @@ class DynamicNetwork:
                 raise ValueError(
                     f"frame at position {t} carries index {frame.frame_index}"
                 )
-        self.spec = spec
         if members is None:
-            members = set()
-            for frame in self.frames:
-                members.update(frame._adj)
+            members = set().union(*(frame._adj for frame in self.frames))
         self.members = frozenset(members)
-
-    def __len__(self) -> int:
-        return len(self.frames)
+        for frame in self.frames:
+            missing = frame._adj.keys() - self.members
+            if missing:
+                raise ValueError(
+                    f"node {min(missing)!r} of frame {frame.frame_index} "
+                    "is missing from the member registry"
+                )
 
     @property
     def frame_count(self) -> int:
@@ -204,22 +181,16 @@ class DynamicNetwork:
 def aggregate(network: DynamicNetwork) -> FrameGraph:
     """Collapse all frames into one graph; pair weights add across frames.
 
-    The result carries frame index ``AGGREGATE_FRAME`` (-1) and the union of
-    all per-frame activity counts, and registers every member of the network
-    registry (so members seen only in singleton teams stay represented).
+    The result carries frame index ``AGGREGATE_FRAME`` (-1) and registers
+    every member of the network registry (so members seen only in singleton
+    teams stay represented).
     """
     adj: dict[str, dict[str, int]] = {v: {} for v in network.members}
-    counts: dict[str, list[int]] = {v: [0, 0] for v in network.members}
     for frame in network.frames:
         for u, v, w in frame.edges():
             adj[u][v] = adj[u].get(v, 0) + w
             adj[v][u] = adj[v].get(u, 0) + w
-        for node in frame._adj:
-            a, b = frame.activity_counts(node)
-            counts[node][0] += a
-            counts[node][1] += b
-    packed = {v: (a, b) for v, (a, b) in counts.items()}
-    return FrameGraph(AGGREGATE_FRAME, adj, packed)
+    return FrameGraph(AGGREGATE_FRAME, adj)
 
 
 def closeness_all(graph: FrameGraph) -> dict[str, float]:

@@ -320,21 +320,24 @@ class FrameSpec:
         self.window = window
         self._starts = self._build_starts()
 
-    def _advance(self, moment: datetime) -> datetime:
-        if self.window_months is not None:
-            return add_months(moment, self.window_months)
-        return moment + self.window  # type: ignore[operator]
+    def _start(self, k: int) -> datetime:
+        """Start of window k, counted from the span start, so a day clamped
+        at one month's end does not carry into later windows."""
+        try:
+            if self.window_months is not None:
+                return add_months(self.span_start, k * self.window_months)
+            return self.span_start + k * self.window  # type: ignore[operator]
+        except (OverflowError, ValueError):
+            raise ValueError(
+                f"{k} windows after {self.span_start.isoformat()} is past year 9999"
+            ) from None
 
     def _build_starts(self) -> list[datetime]:
         starts = [self.span_start]
-        while True:
-            nxt = self._advance(starts[-1])
-            if nxt < self.span_end:
-                starts.append(nxt)
-            else:
-                break
+        while (nxt := self._start(len(starts))) < self.span_end:
+            starts.append(nxt)
         # a trailing partial window is merged into the previous frame
-        if len(starts) > 1 and self._advance(starts[-1]) > self.span_end:
+        if len(starts) > 1 and nxt > self.span_end:
             starts.pop()
         return starts
 
@@ -390,9 +393,15 @@ def spec_for_records(
     if window_months is None and window is None:
         window_months = 3
     stamps = [r.timestamp for r in records]
-    return FrameSpec(
-        min(stamps), max(stamps) + timedelta(seconds=1), window_months, window
-    )
+    latest = max(stamps)
+    try:
+        span_end = latest + timedelta(seconds=1)
+    except OverflowError:
+        raise ValueError(
+            f"timestamp {latest.isoformat()} leaves no second before year 10000 "
+            "to end the span"
+        ) from None
+    return FrameSpec(min(stamps), span_end, window_months, window)
 
 
 def build_frames(
@@ -404,8 +413,8 @@ def build_frames(
 
     Pair weights count links between the pair inside each frame.  When
     ``participations`` is given, every participant is registered in the frame
-    of their team (even without links) and per-node activity-type counters
-    are filled in.  The result is invariant under input reordering.
+    of their team, even without links.  The result is invariant under input
+    reordering.
 
     Raises:
         ValueError: if any timestamp falls outside the spec's span; the
@@ -415,7 +424,6 @@ def build_frames(
         {} for _ in range(spec.frame_count)
     ]
     nodes: list[set[str]] = [set() for _ in range(spec.frame_count)]
-    counts: list[dict[str, list[int]]] = [{} for _ in range(spec.frame_count)]
     for link in links:
         try:
             t = spec.frame_of(link.timestamp)
@@ -430,22 +438,16 @@ def build_frames(
         except ValueError as exc:
             raise ValueError(f"participation of {row.member!r} in team {row.team_id!r}: {exc}")
         nodes[t].add(row.member)
-        tally = counts[t].setdefault(row.member, [0, 0])
-        tally[0 if row.activity_type is ActivityType.A else 1] += 1
         members.add(row.member)
     frames = []
     for t in range(spec.frame_count):
-        packed = {v: (a, b) for v, (a, b) in counts[t].items()}
         frames.append(
             FrameGraph.from_edges(
-                t,
-                ((u, v, w) for (u, v), w in weights[t].items()),
-                nodes=nodes[t],
-                activity_counts=packed,
+                t, ((u, v, w) for (u, v), w in weights[t].items()), nodes=nodes[t]
             )
         )
         members.update(nodes[t])
-    return DynamicNetwork(frames, spec, members)
+    return DynamicNetwork(frames, members)
 
 
 def typed_network(

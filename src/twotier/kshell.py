@@ -34,11 +34,6 @@ def weighted_degree_value(degree: int, weight_sum: int) -> int:
     return root + 1 if product - root * root > root else root
 
 
-def weighted_degree(graph: FrameGraph, node: str) -> int:
-    """Weighted degree of ``node`` in ``graph``."""
-    return weighted_degree_value(graph.degree(node), graph.strength(node))
-
-
 @dataclass(frozen=True)
 class ShellAssignment:
     """Result of one decomposition: node -> shell index (>= 1)."""
@@ -108,21 +103,9 @@ class InfluenceTable:
     aggregate graph.
     """
 
-    frame_count: int
     total: dict[str, int]
     tiebreak_degree: dict[str, int]
     per_frame: dict[tuple[str, int], int] = field(repr=False)
-
-    def influence_at(self, member: str, frame: int) -> int:
-        """Shell earned in one frame; 0 when absent."""
-        if member not in self.total:
-            raise ValueError(f"unknown member {member!r}")
-        return self.per_frame.get((member, frame), 0)
-
-    def frames_active(self, member: str) -> int:
-        if member not in self.total:
-            raise ValueError(f"unknown member {member!r}")
-        return sum(1 for (m, _t) in self.per_frame if m == member)
 
     def ranking(self) -> list[str]:
         """Members ordered by (influence desc, degree desc, id asc)."""
@@ -166,13 +149,8 @@ def dynamic_influence(
         assignment = wks_decompose(frame)
         for member, shell in assignment.shells.items():
             per_frame[(member, frame.frame_index)] = shell
-            total[member] = total.get(member, 0) + shell
-            if member not in tiebreak:  # member outside the declared registry
-                tiebreak[member] = (
-                    aggregate_graph.degree(member) if member in aggregate_graph else 0
-                )
+            total[member] += shell
     return InfluenceTable(
-        frame_count=network.frame_count,
         total=total,
         tiebreak_degree=tiebreak,
         per_frame=per_frame,
@@ -205,13 +183,6 @@ class BackboneSplit:
     x: float
     backbone: frozenset[str]
     general: frozenset[str]
-
-    def group_of(self, member: str) -> str:
-        if member in self.backbone:
-            return "BM"
-        if member in self.general:
-            return "GM"
-        raise ValueError(f"unknown member {member!r}")
 
 
 def select_backbone(table: InfluenceTable, x: float) -> BackboneSplit:

@@ -21,6 +21,7 @@ from typing import Mapping
 from . import abstraction, community, evolution, kshell, synth
 from .graph import DynamicNetwork, FrameGraph, aggregate, closeness_all, write_edge_csv
 from .ingest import (
+    ActivityType,
     expand_teams,
     infer_format,
     load_log,
@@ -46,7 +47,10 @@ def parse_window(text: str) -> tuple[int | None, timedelta | None]:
     if unit == "m":
         return amount, None
     seconds = {"d": 86400, "h": 3600, "s": 1}[unit] * amount
-    return None, timedelta(seconds=seconds)
+    try:
+        return None, timedelta(seconds=seconds)
+    except OverflowError:
+        raise ValueError(f"window {text!r} is too long") from None
 
 
 @dataclass
@@ -178,7 +182,11 @@ class ProfileRow:
     avg_active_frames: float | None
 
 
-def _member_stats(network: DynamicNetwork, agg: FrameGraph, closeness_values: dict):
+def _member_stats(
+    records, network: DynamicNetwork, agg: FrameGraph, closeness_values: dict
+):
+    """Per member: aggregate degree, closeness, type A and type B teams
+    joined, and frames present in."""
     stats: dict[str, dict] = {}
     for member in sorted(network.members):
         stats[member] = {
@@ -188,13 +196,13 @@ def _member_stats(network: DynamicNetwork, agg: FrameGraph, closeness_values: di
             "type_b": 0,
             "active": 0,
         }
+    for record in records:
+        key = "type_a" if record.activity_type is ActivityType.A else "type_b"
+        for member in record.members:
+            stats[member][key] += 1
     for frame in network.frames:
         for node in frame.nodes:
-            a, b = frame.activity_counts(node)
-            row = stats[node]
-            row["type_a"] += a
-            row["type_b"] += b
-            row["active"] += 1
+            stats[node]["active"] += 1
     return stats
 
 
@@ -302,7 +310,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     bundle.remove_previous()
     records, spec, source = _acquire(config, bundle)
     networks, network_block = _build_networks(records, spec, config, bundle)
-    table, member_stats, tier_one = _tier_one(networks["full"], config, bundle)
+    table, member_stats, tier_one = _tier_one(records, networks["full"], config, bundle)
     summary = {"source": source, "network": network_block, **tier_one, "x": {}}
     result = PipelineResult(bundle.root, summary, {}, networks["full"])
     for x in config.x_values:
@@ -368,7 +376,7 @@ def _build_networks(records, spec, config: PipelineConfig, bundle: _Bundle):
     return networks, block
 
 
-def _tier_one(network: DynamicNetwork, config: PipelineConfig, bundle: _Bundle):
+def _tier_one(records, network: DynamicNetwork, config: PipelineConfig, bundle: _Bundle):
     """Tier one on the full network: dynamic influence, the aggregate
     graph's shells, both coverage curves and per-member statistics.
 
@@ -384,7 +392,7 @@ def _tier_one(network: DynamicNetwork, config: PipelineConfig, bundle: _Bundle):
             agg, kshell.aggregate_ranking(agg, agg_shells), config.curve_x
         ),
     }
-    member_stats = _member_stats(network, agg, closeness_all(agg))
+    member_stats = _member_stats(records, network, agg, closeness_all(agg))
     kshell.write_influence_csv(bundle.path("network/influence.csv"), table)
     kshell.write_coverage_csv(bundle.path("network/coverage.csv"), curves)
     blocks = {

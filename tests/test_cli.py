@@ -55,6 +55,23 @@ def test_cli_error_paths(tmp_path, capsys):
     code = main(["analyze", "--config", str(bad), "--out-dir", str(tmp_path / "w")])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+    # timestamps whose span or next frame would pass year 9999 are named
+    header = "team_id,activity_id,activity_type,timestamp,members\n"
+    late = tmp_path / "late.csv"
+    late.write_text(header + "t1,a1,A,9999-12-31T23:59:59Z,a;b\n")
+    code = main(["analyze", "--input", str(late), "--out-dir", str(tmp_path / "v")])
+    assert code == 2
+    assert "9999-12-31T23:59:59" in capsys.readouterr().err
+    late.write_text(header + "t1,a1,A,9999-11-01T00:00:00Z,a;b\n"
+                    "t2,a1,A,9999-12-30T00:00:00Z,a;b\n")
+    code = main(["analyze", "--input", str(late), "--out-dir", str(tmp_path / "v")])
+    assert code == 2
+    assert "9999-11-01T00:00:00" in capsys.readouterr().err
+    # a window too long for a timedelta
+    code = main(["analyze", "--preset", "small", "--window", "99999999999999d",
+                 "--out-dir", str(tmp_path / "u")])
+    assert code == 2
+    assert "too long" in capsys.readouterr().err
 
 
 def test_report_rejects_missing_bundle(tmp_path, capsys):

@@ -16,8 +16,8 @@ from twotier.evolution import (
     write_event_csv,
 )
 from twotier.graph import FrameGraph
-from twotier.synth import scripted_event_timeline
 
+from .fixtures import scripted_event_timeline
 from .oracles import pairwise_reemergence_candidates, random_weighted_adj
 
 F = frozenset

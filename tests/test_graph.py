@@ -13,22 +13,14 @@ from twotier.graph import (
     read_edge_csv,
     write_edge_csv,
 )
-from twotier.ingest import FrameSpec, parse_timestamp
 
 from .oracles import bfs_closeness, random_weighted_adj
 
 
-def _spec(frames: int = 2) -> FrameSpec:
-    start = parse_timestamp("2021-01-01T00:00:00Z")
-    from twotier.ingest import add_months
-
-    return FrameSpec(start, add_months(start, frames), window_months=1)
-
-
 def test_from_edges_accumulates_weights():
     g = FrameGraph.from_edges(0, [("a", "b", 1), ("b", "a", 2), ("b", "c", 1)])
-    assert g.weight("a", "b") == 3
-    assert g.weight("c", "b") == 1
+    assert g.neighbors("a").get("b", 0) == 3
+    assert g.neighbors("c").get("b", 0) == 1
     assert g.degree("b") == 2
     assert g.strength("b") == 4
     assert g.edge_count == 2
@@ -60,16 +52,13 @@ def test_restrict_keeps_internal_edges_only():
     g = FrameGraph.from_edges(0, [("a", "b", 1), ("b", "c", 2), ("c", "d", 1)])
     sub = g.restrict({"a", "b", "c"})
     assert sub.nodes == ["a", "b", "c"]
-    assert sub.weight("b", "c") == 2
-    assert sub.weight("c", "d") == 0
+    assert sub.neighbors("b").get("c", 0) == 2
+    assert sub.neighbors("c").get("d", 0) == 0
 
 
 def _random_frame(rng):
     adj = random_weighted_adj(rng, max_nodes=30, max_edges=rng.choice((5, 40, 120)))
-    counts = {
-        v: (rng.randint(0, 3), rng.randint(0, 3)) for v in adj if rng.random() < 0.7
-    }
-    return FrameGraph(rng.randint(0, 9), adj, counts)
+    return FrameGraph(rng.randint(0, 9), adj)
 
 
 def _same_graph(a, b):
@@ -83,13 +72,11 @@ def test_restrict_equals_validating_constructor():
         keep = set(rng.sample(g.nodes, rng.randint(0, len(g)))) | {"ghost"}
         sub = g.restrict(keep)
         adj = {
-            u: {v: g.weight(u, v) for v in rng.sample(list(g.neighbors(u)), g.degree(u))
-                if v in keep}
+            u: {v: g.neighbors(u)[v]
+                for v in rng.sample(list(g.neighbors(u)), g.degree(u)) if v in keep}
             for u in rng.sample(g.nodes, len(g)) if u in keep
         }
-        counts = {v: g.activity_counts(v) for v in adj}
-        assert _same_graph(sub, FrameGraph(g.frame_index, adj, counts))
-        assert all(sub.activity_counts(v) == g.activity_counts(v) for v in sub.nodes)
+        assert _same_graph(sub, FrameGraph(g.frame_index, adj))
 
 
 def test_restrict_composes():
@@ -103,26 +90,25 @@ def test_restrict_composes():
 
 
 def test_network_frame_index_must_match_position():
-    spec = _spec(2)
     f0 = FrameGraph.from_edges(0, [("a", "b", 1)])
     f_bad = FrameGraph.from_edges(5, [("a", "b", 1)])
     with pytest.raises(ValueError):
-        DynamicNetwork([f0, f_bad], spec, frozenset({"a", "b"}))
+        DynamicNetwork([f0, f_bad], frozenset({"a", "b"}))
+    # the registry must cover every frame's nodes, and may hold more
+    with pytest.raises(ValueError, match="node 'b' of frame 0"):
+        DynamicNetwork([f0], members={"a"})
+    assert DynamicNetwork([f0], members={"a", "b", "z"}).members == {"a", "b", "z"}
 
 
 def test_aggregate_sums_weights_and_registry():
-    spec = _spec(2)
-    f0 = FrameGraph.from_edges(0, [("a", "b", 2)], activity_counts={"a": (1, 0), "b": (1, 0)})
-    f1 = FrameGraph.from_edges(1, [("a", "b", 1), ("b", "c", 1)],
-                               activity_counts={"a": (0, 1), "b": (0, 1), "c": (1, 0)})
-    net = DynamicNetwork([f0, f1], spec, frozenset({"a", "b", "c", "zzz"}))
+    f0 = FrameGraph.from_edges(0, [("a", "b", 2)])
+    f1 = FrameGraph.from_edges(1, [("a", "b", 1), ("b", "c", 1)])
+    net = DynamicNetwork([f0, f1], frozenset({"a", "b", "c", "zzz"}))
     agg = aggregate(net)
     assert agg.frame_index == AGGREGATE_FRAME
-    assert agg.weight("a", "b") == 3
+    assert agg.neighbors("a").get("b", 0) == 3
     # every registered member is a node, active or not
     assert "zzz" in agg.nodes
-    assert agg.activity_counts("a") == (1, 1)
-    assert agg.activity_counts("zzz") == (0, 0)
 
 
 def test_closeness_against_bfs_oracle(monkeypatch):

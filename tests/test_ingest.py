@@ -183,6 +183,16 @@ def test_frame_of_boundaries():
         spec.frame_of(add_months(start, 4))
 
 
+def test_month_windows_count_from_the_span_start():
+    # the day clamped at February's end does not carry into later frames
+    start = parse_timestamp("2021-01-31T00:00:00Z")
+    spec = FrameSpec(start, add_months(start, 4), window_months=1)
+    assert [s for s, _e in spec.boundaries()] == [
+        parse_timestamp(f"2021-{day}T00:00:00Z")
+        for day in ("01-31", "02-28", "03-31", "04-30")
+    ]
+
+
 def test_timedelta_window():
     start = parse_timestamp("2021-01-01T00:00:00Z")
     spec = FrameSpec(start, start + timedelta(days=10), window=timedelta(days=3))
@@ -210,8 +220,8 @@ def test_build_frames_places_links_and_counts_weights():
     spec = FrameSpec(start, add_months(start, 2), window_months=1)
     net = build_frames(expand_teams(records), spec, team_participations(records))
     assert net.frame_count == 2
-    assert net.frames[0].weight("a", "b") == 2
-    assert net.frames[1].weight("a", "c") == 1
+    assert net.frames[0].neighbors("a").get("b", 0) == 2
+    assert net.frames[1].neighbors("a").get("c", 0) == 1
     assert net.members == frozenset({"a", "b", "c"})
 
 
@@ -232,5 +242,5 @@ def test_typed_network_filters_one_activity_type():
     spec = spec_for_records(records, window_months=1)
     links = expand_teams(records)
     net_a = typed_network(links, spec, "A", team_participations(records))
-    assert net_a.frames[0].weight("a", "b") == 1
-    assert net_a.frames[0].weight("b", "c") == 0
+    assert net_a.frames[0].neighbors("a").get("b", 0) == 1
+    assert net_a.frames[0].neighbors("b").get("c", 0) == 0

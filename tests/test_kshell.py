@@ -4,7 +4,6 @@ import random
 import pytest
 
 from twotier.graph import DynamicNetwork, FrameGraph, aggregate
-from twotier.ingest import FrameSpec, add_months, parse_timestamp
 from twotier.kshell import (
     aggregate_ranking,
     backbone_size,
@@ -12,7 +11,6 @@ from twotier.kshell import (
     coverage_curve,
     dynamic_influence,
     select_backbone,
-    weighted_degree,
     weighted_degree_value,
     wks_decompose,
     write_coverage_csv,
@@ -23,12 +21,8 @@ from .oracles import naive_wks, random_weighted_adj
 
 
 def _network(frame_edges, members=None):
-    start = parse_timestamp("2021-01-01T00:00:00Z")
-    spec = FrameSpec(start, add_months(start, len(frame_edges)), window_months=1)
     frames = [FrameGraph.from_edges(i, edges) for i, edges in enumerate(frame_edges)]
-    if members is None:
-        members = {n for g in frames for n in g.nodes}
-    return DynamicNetwork(frames, spec, frozenset(members))
+    return DynamicNetwork(frames, members)
 
 
 def test_weighted_degree_value_small_cases():
@@ -42,8 +36,8 @@ def test_weighted_degree_value_small_cases():
 
 def test_weighted_degree_uses_degree_times_strength():
     g = FrameGraph.from_edges(0, [("a", "b", 3), ("a", "c", 5)])
-    assert weighted_degree(g, "a") == round(math.sqrt(2 * 8))
-    assert weighted_degree(g, "b") == round(math.sqrt(1 * 3))
+    assert weighted_degree_value(g.degree("a"), g.strength("a")) == round(math.sqrt(2 * 8))
+    assert weighted_degree_value(g.degree("b"), g.strength("b")) == round(math.sqrt(1 * 3))
 
 
 def test_wks_shells_on_known_graph():
@@ -80,8 +74,8 @@ def test_influence_is_sum_of_per_frame_shells():
         want = sum(sh.get(m, 0) for sh in per_frame)
         assert table.total[m] == want
     # c sits out frame 1: that frame contributes nothing
-    assert table.influence_at("c", 1) == 0
-    assert table.frames_active("c") == 1
+    assert table.per_frame.get(("c", 1), 0) == 0
+    assert sum(1 for (m, _t) in table.per_frame if m == "c") == 1
 
 
 def test_ranking_tiebreaks_by_degree_then_id():
@@ -113,7 +107,7 @@ def test_select_backbone_splits_frames_and_counts_cross_links():
     split = select_backbone(table, 50)
     assert len(split.backbone) == 2
     assert split.backbone | split.general == net.members
-    assert split.group_of(next(iter(split.backbone))) == "BM"
+    assert split.backbone.isdisjoint(split.general)
     frame = net.frames[0]
     bsn = frame.restrict(split.backbone)
     gsn = frame.restrict(split.general)

@@ -63,6 +63,16 @@ def test_pipeline_invariants_on_generated_logs(records):
         summary = json.loads((out / "summary.json").read_text())
         assert summary["network"]["teams"] == len(records)
         assert summary["network"]["links"] == sum(comb(len(r.members), 2) for r in records)
+        # the BM and GM profiles split the log's (team, member) pairs by type
+        for x_block in summary["x"].values():
+            for kind, field in ((ActivityType.A, "avg_type_a"), (ActivityType.B, "avg_type_b")):
+                pairs = sum(len(r.members) for r in records if r.activity_type is kind)
+                tallied = sum(
+                    row[field] * row["count"]
+                    for row in x_block["profiles"].values()
+                    if row["count"]
+                )
+                assert abs(tallied - pairs) <= 1e-9 * max(pairs, 1), (kind, tallied, pairs)
 
         for x, x_block in summary["x"].items():
             for fname, block in x_block["filters"].items():

@@ -85,13 +85,10 @@ def test_load_config_file_and_overrides(tmp_path):
 
 def test_member_profiles_group_averages():
     from twotier.graph import DynamicNetwork, FrameGraph
-    from twotier.ingest import FrameSpec, add_months, parse_timestamp
     from twotier.kshell import dynamic_influence, select_backbone
 
-    start = parse_timestamp("2021-01-01T00:00:00Z")
-    spec = FrameSpec(start, add_months(start, 1), window_months=1)
     g = FrameGraph.from_edges(0, [("a", "b", 3), ("a", "c", 1), ("b", "c", 1)])
-    net = DynamicNetwork([g], spec, frozenset({"a", "b", "c"}))
+    net = DynamicNetwork([g], frozenset({"a", "b", "c"}))
     table = dynamic_influence(net)
     split = select_backbone(table, 34)
     stats = {

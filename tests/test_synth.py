@@ -8,15 +8,18 @@ from twotier.ingest import expand_teams, load_log, parse_timestamp
 from twotier.synth import (
     SynthConfig,
     generate,
-    intermittent_activity_records,
-    intermittent_spec,
     large_preset,
-    planted_partition,
-    scripted_event_timeline,
     small_preset,
     write_ground_truth,
     write_log_csv,
     write_log_jsonl,
+)
+
+from .fixtures import (
+    intermittent_activity_records,
+    intermittent_spec,
+    planted_partition,
+    scripted_event_timeline,
 )
 
 
