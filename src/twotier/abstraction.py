@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .community import Partition
-from .graph import FrameGraph
+from .graph import FrameGraph, mean
 from .kshell import BackboneSplit
 
 BACKBONE_CLASS = "BC"
@@ -226,8 +226,8 @@ def frame_metrics(agraph: AbstractGraph) -> dict:
     gc_iso = sum(1 for v in gc if not agraph._adj[v])
     counts = agraph.class_edge_counts()
     central = betweenness(agraph)
-    mean_bc = sum(central[v] for v in bc) / len(bc) if bc else 0.0
-    mean_gc = sum(central[v] for v in gc) / len(gc) if gc else 0.0
+    mean_bc = mean(central[v] for v in bc)
+    mean_gc = mean(central[v] for v in gc)
     row = {
         "frame": agraph.frame_index,
         "n_communities": agraph.node_count,

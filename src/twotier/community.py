@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .graph import FrameGraph
+from .graph import FrameGraph, mean
 
 _EPS = 1e-12
 _MAX_SWEEPS = 100
@@ -39,24 +39,32 @@ def modularity(graph: FrameGraph, assignment: Mapping[str, int]) -> float:
     m2 = 2.0 * graph.total_weight
     if m2 == 0:
         raise ValueError("modularity is undefined for an edgeless graph")
-    return _modularity(((v, graph.neighbors(v)) for v in nodes), assignment, m2)
+    nodes, rows, strengths = graph.local_form()
+    return _modularity(rows, strengths, [assignment[v] for v in nodes], m2)
 
 
 def _modularity(
-    rows: Iterable, label: Mapping[str, int] | Sequence[int], m2: float
+    rows: Sequence[Mapping[int, int]],
+    strengths: Sequence[int],
+    label: Sequence[int],
+    m2: float,
 ) -> float:
-    """Q from ``(node, {neighbour: weight})`` rows and ``label[node]``.
+    """Q from a :meth:`~FrameGraph.local_form`'s rows and strengths and each
+    node's community label.
 
-    Both sums per community add up integer weights, so they are exact in
-    any order; the terms are added by ascending community label.
+    Both sums per community add up integer weights as ints, so they are
+    exact; the terms are added by ascending community label.
     """
-    internal: dict[int, float] = {}
-    tot: dict[int, float] = {}
-    for v, row in rows:
+    internal: dict[int, int] = {}
+    tot: dict[int, int] = {}
+    for v, row in enumerate(rows):
         c = label[v]
-        tot[c] = tot.get(c, 0) + sum(row.values())
-        inside = sum(w for u, w in row.items() if label[u] == c)
-        internal[c] = internal.get(c, 0) + inside
+        tot[c] = tot.get(c, 0) + strengths[v]
+        inside = internal.get(c, 0)
+        for u, w in row.items():
+            if label[u] == c:
+                inside += w
+        internal[c] = inside
     q = 0.0
     for c in sorted(tot):
         q += internal[c] / m2 - (tot[c] / m2) ** 2
@@ -91,8 +99,8 @@ class Partition:
 
 
 def _move_nodes(
-    adj: list[dict[int, float]],
-    k: list[float],
+    adj: Sequence[Mapping[int, float]],
+    k: Sequence[float],
     com: list[int],
     order: Sequence[int],
     m2: float,
@@ -106,40 +114,59 @@ def _move_nodes(
     ``isolate``, a node whose every option loses modularity moves to a fresh
     singleton community instead; ``isolate`` is for graphs without
     self-loops, where ``k[v]`` is the sum of ``adj[v]``.  Returns whether any
-    node moved.
+    node moved.  Weights and strengths may be ints or floats: adding an int
+    to a float, or multiplying the two, rounds as ``float(int)`` would.
 
     Strengths are sums of integer weights, so every community total in
     ``tot`` is an integer-valued float (exact below 2**53) and taking a
     node's strength out and back in is exact: a node that stays leaves the
-    state (``com`` and ``tot``) unchanged bit for bit.  Two shortcuts rest
-    on that, and neither changes the result:
+    state (``com`` and ``tot``) unchanged bit for bit.  The shortcuts below
+    rest on that, and none of them changes the result:
 
+    - A node's evaluation reads only its neighbours' labels, the total of
+      its own community and the totals of its neighbours' communities; its
+      outcome is a function of those.  ``changed[c]`` is the move count at
+      the last time a node joined or left community c, and a node that stays
+      records the move count and the communities it saw (its neighbours'
+      communities; its own is the one it still sits in).  While none of
+      them has changed since, its evaluation would read the same values and
+      stay again, so it is skipped.  A neighbour that moves leaves a
+      community the node saw, and the node's own moves change the community
+      it now sits in, so no changed input goes unnoticed.
     - A node whose neighbours all sit in its own community has no other
       community to go to, so it stays and is not evaluated.  Nor would it
       isolate itself: its gain for staying is k[v] - k[v] * t / 2m, where
       t <= 2m is the rest of its community's total, so never negative.
-    - A sweep that has made no move by the position of the previous sweep's
-      last move stops there.  Every later node was evaluated after that
-      move, on the state this sweep still holds, and stayed; evaluated
-      again on the same state, it stays again.  So the sweep would make no
-      move, and it is the last one.
+    - The scan in label order starts from staying and changes its choice
+      first to a community whose gain exceeds the stay gain by more than
+      ``_EPS``; every later change needs that choice already made.  So when
+      no neighbouring community's gain passes that bar, computed by the
+      same expressions, the scan would keep the node, and it is not run.
     """
     tot = [0.0] * (max(com, default=-1) + 1)
     for v, c in enumerate(com):
         tot[c] += k[v]
-    moved_any = False
-    stop = len(order)  # position of the previous sweep's last move
+    changed = [0] * len(tot)  # move count at each community's last change
+    stayed = [-1] * len(adj)  # move count when each node last stayed
+    seen: list = [()] * len(adj)  # the neighbours' communities it saw then
+    moves = 0
     for _sweep in range(_MAX_SWEEPS):
-        last_move = -1
-        for pos, v in enumerate(order):
-            if pos > stop and last_move < 0:
-                break
+        moves_before = moves
+        for v in order:
             cv = com[v]
+            when = stayed[v]
+            if changed[cv] <= when:
+                for c in seen[v]:
+                    if changed[c] > when:
+                        break
+                else:
+                    continue
             row = adj[v]
             for u in row:
                 if com[u] != cv:
                     break
             else:
+                stayed[v], seen[v] = moves, ()
                 continue
             nbw: dict[int, float] = {}
             for u, w in row.items():
@@ -149,32 +176,39 @@ def _move_nodes(
             kv = k[v]
             tot[cv] -= kv
             best_c, best_gain = cv, nbw.get(cv, 0.0) - kv * tot[cv] / m2
-            for c in sorted(nbw):
-                if c == cv:
-                    continue
-                gain = nbw[c] - kv * tot[c] / m2
-                if gain > best_gain + _EPS or (
-                    gain > best_gain - _EPS and best_c != cv and c < best_c
-                ):
-                    best_c, best_gain = c, gain
+            bar = best_gain + _EPS
+            for c, w in nbw.items():
+                if w - kv * tot[c] / m2 > bar:
+                    # some community beats staying: scan them in label order
+                    for c in sorted(nbw):
+                        if c == cv:
+                            continue
+                        gain = nbw[c] - kv * tot[c] / m2
+                        if gain > best_gain + _EPS or (
+                            gain > best_gain - _EPS and best_c != cv and c < best_c
+                        ):
+                            best_c, best_gain = c, gain
+                    break
             if isolate and best_gain < -_EPS:
                 # isolating v (gain exactly 0) beats every existing option
                 best_c = len(tot)
-                tot.append(kv)
+                tot.append(float(kv))
+                changed.append(0)
             else:
                 tot[best_c] += kv
             com[v] = best_c
-            if best_c != cv:
-                last_move = pos
-        if last_move < 0:
+            if best_c == cv:
+                stayed[v], seen[v] = moves, nbw
+            else:
+                moves += 1
+                changed[cv] = changed[best_c] = moves
+        if moves == moves_before:
             break
-        moved_any = True
-        stop = last_move
-    return moved_any
+    return moves > 0
 
 
 def _collapse(
-    adj: list[dict[int, float]], k: list[float], com: list[int]
+    adj: Sequence[Mapping[int, float]], k: Sequence[float], com: list[int]
 ) -> tuple[list[dict[int, float]], list[float]]:
     """Aggregate the level graph by its communities (labels dense 0..C-1).
 
@@ -188,10 +222,11 @@ def _collapse(
     for v, row in enumerate(adj):
         cv = com[v]
         new_k[cv] += k[v]
+        target = new_adj[cv]
         for u, w in row.items():
             cu = com[u]
             if cu != cv:
-                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+                target[cu] = target.get(cu, 0.0) + w
     return new_adj, new_k
 
 
@@ -202,18 +237,18 @@ def detect(graph: FrameGraph, seed: int = 42) -> Partition:
     yield the all-singletons partition with Q = 0 and ``degenerate=True``.
     Isolated nodes in an otherwise connected graph always end up as
     singleton communities, keeping them addressable downstream.
+
+    The input is the graph's :meth:`~FrameGraph.local_form`, which
+    ``FrameGraph.restrict`` hands over ready-made: the sorted nodes, their
+    rows keyed by local id with int weights, and their int strengths.
+    Level 0 and the polish run on those ints; Q is computed from the same
+    rows and strengths.
     """
-    nodes = graph.nodes
-    if graph.edge_count == 0:
+    nodes, adj0, k0 = graph.local_form()
+    if graph.total_weight == 0:
         assignment = {v: i for i, v in enumerate(nodes)}
         return Partition(graph.frame_index, assignment, 0.0, degenerate=True)
-    index = {v: i for i, v in enumerate(nodes)}
-    rows = [graph.neighbors(v) for v in nodes]
-    adj: list[dict[int, float]] = [
-        {index[u]: float(w) for u, w in row.items()} for row in rows
-    ]
-    k = [float(sum(row.values())) for row in rows]
-    adj0, k0 = adj, k
+    adj, k = adj0, k0
     m2 = 2.0 * graph.total_weight
     rng = random.Random(seed)
     chain = list(range(len(nodes)))
@@ -234,7 +269,7 @@ def detect(graph: FrameGraph, seed: int = 42) -> Partition:
     # renumber by first appearance in node order, i.e. by smallest member id
     renumber: dict[int, int] = {}
     labels = [renumber.setdefault(c, len(renumber)) for c in chain]
-    q = _modularity(enumerate(adj0), labels, m2)
+    q = _modularity(adj0, k0, labels, m2)
     return Partition(graph.frame_index, dict(zip(nodes, labels)), q)
 
 
@@ -243,9 +278,9 @@ class FramePartitionSet:
     """Partitions for every frame of a sub-network plus summary statistics.
 
     ``average_q`` is the mean Q over analyzed frames (frames holding at
-    least one node); degenerate frames contribute 0.  Frames with no nodes
-    are skipped from the average but still get an (empty) partition so frame
-    indices stay aligned.
+    least one node), taken in list order; degenerate frames contribute 0.
+    Frames with no nodes are skipped from the average but still get an
+    (empty) partition, so the partitions line up with the input frames.
     """
 
     partitions: list[Partition]
@@ -253,23 +288,23 @@ class FramePartitionSet:
     degenerate_frames: list[int] = field(default_factory=list)
 
 
-def detect_all(frames: Sequence[FrameGraph], seed: int = 42) -> FramePartitionSet:
-    """Run detection over a frame sequence with per-frame derived seeds."""
+def detect_all(frames: Iterable[FrameGraph], seed: int = 42) -> FramePartitionSet:
+    """Run detection over a frame sequence with per-frame derived seeds.
+
+    ``frames`` is read once, so a generator of restrictions holds one
+    restricted graph at a time.
+    """
     partitions = []
     analyzed = []
     degenerate = []
     for frame in frames:
         part = detect(frame, seed=seed + 1000003 * (frame.frame_index + 1))
         partitions.append(part)
-        if len(frame) > 0:
-            analyzed.append(frame.frame_index)
+        if part.assignment:
+            analyzed.append(part.q)
             if part.degenerate:
                 degenerate.append(frame.frame_index)
-    if analyzed:
-        average = sum(partitions[t].q for t in analyzed) / len(analyzed)
-    else:
-        average = 0.0
-    return FramePartitionSet(partitions, average, degenerate)
+    return FramePartitionSet(partitions, mean(analyzed), degenerate)
 
 
 def write_partition_csv(path, partitions: Iterable[Partition]) -> None:

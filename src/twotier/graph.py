@@ -28,7 +28,7 @@ class FrameGraph:
     may include isolated nodes (members who only joined singleton teams).
     """
 
-    __slots__ = ("frame_index", "_adj", "_total_weight")
+    __slots__ = ("frame_index", "_adj", "_total_weight", "_local")
 
     def __init__(
         self, frame_index: int, adjacency: Mapping[str, Mapping[str, int]]
@@ -53,6 +53,7 @@ class FrameGraph:
         self.frame_index = frame_index
         self._adj = adj
         self._total_weight = total // 2
+        self._local = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -131,18 +132,43 @@ class FrameGraph:
 
         The result skips the constructor's sorting and checks: filtering a
         sorted, symmetric, loop-free graph keeps it so, in the same order.
+        Its one pass builds the subgraph's :meth:`local_form`, which is all
+        the subgraph stores; its name-keyed rows are built from that form the
+        first time something reads them.
         """
-        keep_set = self._adj.keys() & keep
-        adj = {
-            u: {v: w for v, w in row.items() if v in keep_set}
-            for u, row in self._adj.items()
-            if u in keep_set
-        }
+        adj = self._adj
+        keep_set = adj.keys() & keep
+        nodes = [u for u in adj if u in keep_set]
+        index = {u: i for i, u in enumerate(nodes)}
+        rows = [{index[v]: w for v, w in adj[u].items() if v in index} for u in nodes]
+        strengths = [sum(row.values()) for row in rows]
         sub = FrameGraph.__new__(FrameGraph)
         sub.frame_index = self.frame_index
-        sub._adj = adj
-        sub._total_weight = sum(sum(row.values()) for row in adj.values()) // 2
+        sub._total_weight = sum(strengths) // 2
+        sub._local = (nodes, rows, strengths)
         return sub
+
+    def __getattr__(self, name: str):
+        # only reached for a slot never set: a restriction's ``_adj``
+        if name != "_adj":
+            raise AttributeError(name)
+        nodes, rows, _strengths = self._local
+        self._adj = {
+            u: {nodes[j]: w for j, w in row.items()} for u, row in zip(nodes, rows)
+        }
+        return self._adj
+
+    def local_form(self) -> tuple[list[str], list[dict[int, int]], list[int]]:
+        """The graph over local ids: the nodes in sorted order, each node's
+        row as ``{local id: weight}`` (a local id indexes the node list), and
+        the node strengths, all in node order.
+
+        A restriction carries the form it was built as; any other graph
+        builds it by restricting to all of its nodes, and keeps nothing.
+        """
+        if self._local is None:
+            return self.restrict(self._adj)._local
+        return self._local
 
 
 class DynamicNetwork:
@@ -176,6 +202,20 @@ class DynamicNetwork:
     @property
     def frame_count(self) -> int:
         return len(self.frames)
+
+
+def mean(values: Iterable[float]) -> float:
+    """Mean of ``values`` (0.0 when there are none), summed left to right.
+
+    Built-in ``sum`` of floats is compensated from Python 3.12 on, so it
+    would make the bundle's floats depend on the interpreter version.
+    """
+    total = 0.0
+    count = 0
+    for value in values:
+        total += value
+        count += 1
+    return total / count if count else 0.0
 
 
 def aggregate(network: DynamicNetwork) -> FrameGraph:

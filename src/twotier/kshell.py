@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .graph import DynamicNetwork, FrameGraph, aggregate
+from .graph import DynamicNetwork, FrameGraph, aggregate, mean
 
 
 def weighted_degree_value(degree: int, weight_sum: int) -> int:
@@ -226,7 +226,7 @@ def coverage(target, seeds: Iterable[str]) -> float:
     ]
     if not values:
         raise ValueError("coverage of a network with no populated frames is undefined")
-    return sum(values) / len(values)
+    return mean(values)
 
 
 def coverage_curve(

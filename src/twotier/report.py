@@ -19,7 +19,14 @@ from pathlib import Path
 from typing import Mapping
 
 from . import abstraction, community, evolution, kshell, synth
-from .graph import DynamicNetwork, FrameGraph, aggregate, closeness_all, write_edge_csv
+from .graph import (
+    DynamicNetwork,
+    FrameGraph,
+    aggregate,
+    closeness_all,
+    mean,
+    write_edge_csv,
+)
 from .ingest import (
     ActivityType,
     expand_teams,
@@ -439,7 +446,7 @@ def _analyze_filter(fnet, split, config: PipelineConfig, bundle: _Bundle, fdir: 
     )
     for side, members, seed in sides:
         parts = community.detect_all(
-            [f.restrict(members) for f in fnet.frames], seed=seed
+            (f.restrict(members) for f in fnet.frames), seed=seed
         )
         community.write_partition_csv(
             bundle.path(f"{fdir}/partitions_{side}.csv"), parts.partitions
@@ -479,10 +486,10 @@ def _analyze_filter(fnet, split, config: PipelineConfig, bundle: _Bundle, fdir: 
             else None
         ),
         "frames_with_edges": sum(1 for g in agraphs if g.edge_count),
-        "mean_density_bc": _mean(r["density_bc"] for r in rows),
-        "mean_density_gc": _mean(r["density_gc"] for r in rows),
-        "mean_betweenness_bc": _mean(r["mean_betweenness_bc"] for r in rows),
-        "mean_betweenness_gc": _mean(r["mean_betweenness_gc"] for r in rows),
+        "mean_density_bc": mean(r["density_bc"] for r in rows),
+        "mean_density_gc": mean(r["density_gc"] for r in rows),
+        "mean_betweenness_bc": mean(r["mean_betweenness_bc"] for r in rows),
+        "mean_betweenness_gc": mean(r["mean_betweenness_gc"] for r in rows),
     }
     return block, rows, totals
 
@@ -509,11 +516,6 @@ def _write_index(bundle: _Bundle, config: PipelineConfig, summary: dict) -> dict
             json.dump(data, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return manifest
-
-
-def _mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
 
 
 def _version() -> str:

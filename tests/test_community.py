@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from twotier import community
@@ -47,6 +49,28 @@ def test_modularity_equals_edge_sum_form():
             continue
         assignment = {v: rng.randrange(rng.randint(1, 6)) for v in g.nodes}
         assert modularity(g, assignment) == edge_sum_modularity(g, assignment)
+
+
+def test_modularity_and_detect_match_networkx():
+    rng = random.Random(6174)
+    checked = 0
+    for trial in range(40):
+        adj = random_weighted_adj(rng, max_nodes=30, max_edges=90)
+        g = FrameGraph(0, adj)
+        if g.total_weight == 0:
+            continue
+        nxg = nx.Graph()
+        nxg.add_nodes_from(adj)
+        nxg.add_weighted_edges_from(g.edges())
+        assignment = {v: rng.randrange(rng.randint(1, 5)) for v in g.nodes}
+        groups = [{v for v, c in assignment.items() if c == c0} for c0 in set(assignment.values())]
+        want = nx.community.modularity(nxg, groups, weight="weight")
+        assert modularity(g, assignment) == pytest.approx(want, abs=1e-12)
+        part = detect(g, seed=trial)
+        want = nx.community.modularity(nxg, part.communities(), weight="weight")
+        assert part.q == pytest.approx(want, abs=1e-12)
+        checked += 1
+    assert checked >= 30
 
 
 def test_modularity_single_community_is_zero():
@@ -155,25 +179,56 @@ def test_detect_all_aggregates_q(tmp_path):
     assert back[0] == result.partitions[0].assignment
     assert back[1] == result.partitions[1].assignment
 
+    # frame indices need not be list positions: the mean runs in list order
+    lone = FrameGraph.from_edges(3, [("a", "b", 1), ("b", "c", 2)])
+    single = detect_all([lone], seed=9)
+    assert single.partitions[0].frame_index == 3
+    assert single.average_q == single.partitions[0].q
+    f2 = FrameGraph.from_edges(2, _clique("c", 3) + _clique("d", 5))
+    empty = FrameGraph.from_edges(1, [])
+    gapped = detect_all([f0, f2], seed=9)
+    assert [p.frame_index for p in gapped.partitions] == [0, 2]
+    assert gapped.average_q == (gapped.partitions[0].q + gapped.partitions[1].q) / 2
+    # a frame without nodes gets an empty partition and stays out of the mean
+    with_empty = detect_all([f0, empty, f2], seed=9)
+    assert with_empty.partitions[1].assignment == {}
+    assert with_empty.average_q == gapped.average_q
 
-def test_move_nodes_equals_full_sweep_kernel():
-    """Skipping settled nodes and ending the last sweep early change nothing."""
+
+def _kernel_inputs(rng, max_edges):
+    """A random graph's rows and strengths as ints (level 0) and floats
+    (collapsed levels), random start labels (some unused) and a node order."""
+    g = FrameGraph(0, random_weighted_adj(rng, max_nodes=30, max_edges=max_edges))
+    if g.total_weight == 0:
+        return None
+    _nodes, rows, k = g.local_form()
+    as_floats = ([{u: float(w) for u, w in row.items()} for row in rows], [float(s) for s in k])
+    start = [rng.randrange(len(rows)) for _ in rows]
+    order = rng.sample(range(len(rows)), len(rows))
+    return ((rows, k), as_floats), start, order, 2.0 * g.total_weight
+
+
+def test_move_nodes_equals_full_sweep_kernel(monkeypatch):
+    """Skipping nodes whose inputs did not change and skipping the ordered
+    scan when nothing beats staying change nothing; many of the runs still
+    move in a third sweep, after both shortcuts have had their chance."""
     rng = random.Random(94)
-    for _ in range(120):
-        g = FrameGraph(0, random_weighted_adj(rng, max_nodes=30, max_edges=90))
-        if g.total_weight == 0:
-            continue
-        index = {v: i for i, v in enumerate(g.nodes)}
-        adj = [{index[u]: float(w) for u, w in g.neighbors(v).items()} for v in g.nodes]
-        k = [float(g.strength(v)) for v in g.nodes]
-        start = [rng.randrange(len(adj)) for _ in adj]  # some labels unused
-        order = rng.sample(range(len(adj)), len(adj))
-        m2 = 2.0 * g.total_weight
-        for isolate in (False, True):
+    inputs = [_kernel_inputs(rng, 90) for _ in range(120)]
+    inputs += [_kernel_inputs(rng, 200) for _ in range(40)]
+    long_runs = 0
+    for case in filter(None, inputs):
+        forms, start, order, m2 = case
+        for (adj, k), isolate in itertools.product(forms, (False, True)):
             fast, slow = list(start), list(start)
             moved = community._move_nodes(adj, k, fast, order, m2, isolate)
             assert moved == full_sweep_move_nodes(adj, k, slow, order, m2, isolate)
             assert fast == slow
+            with monkeypatch.context() as capped:
+                capped.setattr(community, "_MAX_SWEEPS", 2)
+                two_sweeps = list(start)
+                full_sweep_move_nodes(adj, k, two_sweeps, order, m2, isolate)
+            long_runs += two_sweeps != slow
+    assert long_runs >= 100
 
 
 @pytest.mark.parametrize("max_sweeps", [None, 1, 2])

@@ -9,8 +9,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twotier.community import read_partition_csv
+from twotier.community import modularity, read_partition_csv
 from twotier.evolution import read_event_csv
+from twotier.graph import FrameGraph, mean, read_edge_csv
 from twotier.ingest import ActivityType, TeamRecord
 from twotier.report import PipelineConfig, run_pipeline
 from twotier.synth import write_log_csv
@@ -80,8 +81,21 @@ def test_pipeline_invariants_on_generated_logs(records):
                 if shares is not None:
                     assert abs(sum(shares.values()) - 1.0) <= 1e-9
                 fdir = out / f"x{x}" / fname
+                suffix = "" if fname == "full" else f"_{fname}"
+                edges = read_edge_csv(out / "network" / f"frames{suffix}.csv")
                 for side in ("bsn", "gsn"):
                     parts = read_partition_csv(fdir / f"partitions_{side}.csv")
+                    # average_q is the mean Q of the side's non-empty frames,
+                    # each scored by the public modularity (0 when edgeless)
+                    qs = []
+                    for t, assign in sorted(parts.items()):
+                        inside = [
+                            (u, v, w) for u, v, w in (edges[t].edges() if t in edges else ())
+                            if u in assign and v in assign
+                        ]
+                        sub = FrameGraph.from_edges(t, inside, nodes=assign)
+                        qs.append(modularity(sub, assign) if inside else 0.0)
+                    assert abs(block[side]["average_q"] - mean(qs)) <= 1e-12, (x, fname, side)
                     existing = {(t, c) for t, assign in parts.items() for c in assign.values()}
                     for event in read_event_csv(fdir / f"events_{side}.csv"):
                         for ref in event.predecessors + event.successors:

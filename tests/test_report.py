@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from datetime import timedelta
@@ -240,3 +241,23 @@ def test_pipeline_needs_no_numpy_or_scipy(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy", None)
     run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
     assert (tmp_path / "manifest.json").is_file()
+
+
+def _bundle_digest(root: Path) -> str:
+    """sha256 over the sorted relative paths and each file's sha256, as the
+    benchmark harness computes it (``perfbench/check.py``)."""
+    digest = hashlib.sha256()
+    for rel, path in sorted(
+        (p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file()
+    ):
+        digest.update(f"{rel}\t{hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return digest.hexdigest()
+
+
+def test_small_preset_bundle_is_pinned(tmp_path):
+    """The same bytes on every supported Python: float means are summed left
+    to right, not by ``sum``, which is compensated from Python 3.12 on."""
+    run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
+    assert _bundle_digest(tmp_path) == (
+        "8b70caf84fd6dbe538f643c466ccb0b3b3661850ed965fd33c1b8264ff6b3432"
+    )
