@@ -12,7 +12,8 @@ from . import synth
 
 
 class CommandError(Exception):
-    """User-facing failure; printed without a traceback."""
+    """User-facing failure; printed without a traceback, as is any
+    ``OSError`` a command raises."""
 
 
 def _parse_x_list(text: str) -> tuple:
@@ -62,7 +63,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         config = report_mod.load_config(args.config, overrides)
         result = report_mod.run_pipeline(config)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise CommandError(str(exc)) from None
     print(f"analysis bundle written to {result.out_dir}")
     print(
@@ -133,7 +134,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
+    except (CommandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,39 +104,35 @@ def _move_nodes(
     com: list[int],
     order: Sequence[int],
     m2: float,
-    isolate: bool,
 ) -> bool:
     """Local-move phase of Blondel et al. (2008), applied to ``com`` in place.
 
     Sweeps the nodes in ``order``, moving each to the neighbouring community
     with the largest modularity gain (ties keep the node where it is, else
-    pick the smallest label), until a sweep makes no move.  With
-    ``isolate``, a node whose every option loses modularity moves to a fresh
-    singleton community instead; ``isolate`` is for graphs without
-    self-loops, where ``k[v]`` is the sum of ``adj[v]``.  Returns whether any
-    node moved.  Weights and strengths may be ints or floats: adding an int
-    to a float, or multiplying the two, rounds as ``float(int)`` would.
+    pick the smallest label), until a sweep makes no move.  Returns whether
+    any node moved.  Weights and strengths may be ints or floats: adding an
+    int to a float, or multiplying the two, rounds as ``float(int)`` would.
 
-    Strengths are sums of integer weights, so every community total in
-    ``tot`` is an integer-valued float (exact below 2**53) and taking a
-    node's strength out and back in is exact: a node that stays leaves the
-    state (``com`` and ``tot``) unchanged bit for bit.  The shortcuts below
-    rest on that, and none of them changes the result:
+    No move to a fresh singleton community is offered.  On a graph without
+    self-loops, such as level 0, where ``k[v]`` is the sum of ``adj[v]``, it
+    would never win: v's weights into the neighbouring communities add up
+    to k[v] and their totals to at most 2m - k[v], so some neighbouring
+    community c has w_c / k[v] > tot_c / 2m, a positive gain where
+    isolation gains 0.
 
-    - A node's evaluation reads only its neighbours' labels, the total of
-      its own community and the totals of its neighbours' communities; its
-      outcome is a function of those.  ``changed[c]`` is the move count at
-      the last time a node joined or left community c, and a node that stays
-      records the move count and the communities it saw (its neighbours'
-      communities; its own is the one it still sits in).  While none of
-      them has changed since, its evaluation would read the same values and
-      stay again, so it is skipped.  A neighbour that moves leaves a
-      community the node saw, and the node's own moves change the community
-      it now sits in, so no changed input goes unnoticed.
-    - A node whose neighbours all sit in its own community has no other
-      community to go to, so it stays and is not evaluated.  Nor would it
-      isolate itself: its gain for staying is k[v] - k[v] * t / 2m, where
-      t <= 2m is the rest of its community's total, so never negative.
+    ``nbw[v]`` maps each community holding a neighbour of v to v's total
+    edge weight into it.  It is built once from the rows and ``com``, and
+    kept up to date: when v moves from cv to c, each neighbour u loses v's
+    weight from ``nbw[u][cv]`` (the key goes when it reaches zero) and gains
+    it in ``nbw[u][c]``.  Weights are positive integers at level 0 and
+    integer-valued floats above it (sums of integers, exact below 2**53), so
+    every kept value and community total in ``tot`` equals a fresh sum bit
+    for bit, and the keys are exactly the neighbours' communities.  Every
+    gain, tie and move is the one a rebuild from the row would give.  Two
+    shortcuts change nothing either:
+
+    - A node whose ``nbw`` holds no community but its own has no other
+      community to go to, so it stays and is not evaluated.
     - The scan in label order starts from staying and changes its choice
       first to a community whose gain exceeds the stay gain by more than
       ``_EPS``; every later change needs that choice already made.  So when
@@ -146,62 +142,51 @@ def _move_nodes(
     tot = [0.0] * (max(com, default=-1) + 1)
     for v, c in enumerate(com):
         tot[c] += k[v]
-    changed = [0] * len(tot)  # move count at each community's last change
-    stayed = [-1] * len(adj)  # move count when each node last stayed
-    seen: list = [()] * len(adj)  # the neighbours' communities it saw then
+    nbw: list[dict[int, float]] = []
+    for row in adj:
+        weights: dict[int, float] = {}
+        for u, w in row.items():
+            cu = com[u]
+            weights[cu] = weights.get(cu, 0) + w
+        nbw.append(weights)
     moves = 0
     for _sweep in range(_MAX_SWEEPS):
         moves_before = moves
         for v in order:
             cv = com[v]
-            when = stayed[v]
-            if changed[cv] <= when:
-                for c in seen[v]:
-                    if changed[c] > when:
-                        break
-                else:
-                    continue
-            row = adj[v]
-            for u in row:
-                if com[u] != cv:
-                    break
-            else:
-                stayed[v], seen[v] = moves, ()
+            weights = nbw[v]
+            if not weights or (len(weights) == 1 and cv in weights):
                 continue
-            nbw: dict[int, float] = {}
-            for u, w in row.items():
-                cu = com[u]
-                nbw[cu] = nbw.get(cu, 0.0) + w
             # gains are relative to v sitting alone outside any community
             kv = k[v]
             tot[cv] -= kv
-            best_c, best_gain = cv, nbw.get(cv, 0.0) - kv * tot[cv] / m2
+            best_c, best_gain = cv, weights.get(cv, 0.0) - kv * tot[cv] / m2
             bar = best_gain + _EPS
-            for c, w in nbw.items():
+            for c, w in weights.items():
                 if w - kv * tot[c] / m2 > bar:
                     # some community beats staying: scan them in label order
-                    for c in sorted(nbw):
+                    for c in sorted(weights):
                         if c == cv:
                             continue
-                        gain = nbw[c] - kv * tot[c] / m2
+                        gain = weights[c] - kv * tot[c] / m2
                         if gain > best_gain + _EPS or (
                             gain > best_gain - _EPS and best_c != cv and c < best_c
                         ):
                             best_c, best_gain = c, gain
                     break
-            if isolate and best_gain < -_EPS:
-                # isolating v (gain exactly 0) beats every existing option
-                best_c = len(tot)
-                tot.append(float(kv))
-                changed.append(0)
-            else:
-                tot[best_c] += kv
-            com[v] = best_c
+            tot[best_c] += kv
             if best_c == cv:
-                stayed[v], seen[v] = moves, nbw
-            else:
-                moves += 1
-                changed[cv] = changed[best_c] = moves
+                continue
+            com[v] = best_c
+            moves += 1
+            for u, w in adj[v].items():
+                other = nbw[u]
+                left = other[cv] - w
+                if left:
+                    other[cv] = left
+                else:
+                    del other[cv]
+                other[best_c] = other.get(best_c, 0) + w
         if moves == moves_before:
             break
     return moves > 0
@@ -256,7 +241,7 @@ def detect(graph: FrameGraph, seed: int = 42) -> Partition:
         com = list(range(len(adj)))
         order = list(range(len(adj)))
         rng.shuffle(order)
-        moved = _move_nodes(adj, k, com, order, m2, isolate=False)
+        moved = _move_nodes(adj, k, com, order, m2)
         remap = {lab: i for i, lab in enumerate(sorted(set(com)))}
         com = [remap[c] for c in com]
         chain = [com[cur] for cur in chain]
@@ -265,7 +250,7 @@ def detect(graph: FrameGraph, seed: int = 42) -> Partition:
         adj, k = _collapse(adj, k, com)
     # polish on the original graph: the collapsed phases alone do not make
     # the partition locally optimal under single-node moves
-    _move_nodes(adj0, k0, chain, range(len(nodes)), m2, isolate=True)
+    _move_nodes(adj0, k0, chain, range(len(nodes)), m2)
     # renumber by first appearance in node order, i.e. by smallest member id
     renumber: dict[int, int] = {}
     labels = [renumber.setdefault(c, len(renumber)) for c in chain]
@@ -307,11 +292,14 @@ def detect_all(frames: Iterable[FrameGraph], seed: int = 42) -> FramePartitionSe
     return FramePartitionSet(partitions, mean(analyzed), degenerate)
 
 
+PARTITION_COLUMNS = ["frame", "member_id", "community_id"]
+
+
 def write_partition_csv(path, partitions: Iterable[Partition]) -> None:
     """Dump partitions as frame,member_id,community_id rows, sorted."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["frame", "member_id", "community_id"])
+        writer.writerow(PARTITION_COLUMNS)
         for part in partitions:
             for member in sorted(part.assignment):
                 writer.writerow([part.frame_index, member, part.assignment[member]])
@@ -323,7 +311,7 @@ def read_partition_csv(path) -> dict[int, dict[str, int]]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header != ["frame", "member_id", "community_id"]:
+        if header != PARTITION_COLUMNS:
             raise ValueError(f"unexpected header {header!r} in {path}")
         for frame, member, community in reader:
             frames.setdefault(int(frame), {})[member] = int(community)

@@ -474,22 +474,23 @@ def event_shares(
     return rows
 
 
+EVENT_COLUMNS = [
+    "frame",
+    "kind",
+    "attribute",
+    "track_id",
+    "predecessors",
+    "successors",
+    "size_before",
+    "size_after",
+]
+
+
 def write_event_csv(path, events: Iterable[EvolutionEvent]) -> None:
     """Dump events: frame,kind,attribute,track_id,predecessors,successors,sizes."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "frame",
-                "kind",
-                "attribute",
-                "track_id",
-                "predecessors",
-                "successors",
-                "size_before",
-                "size_after",
-            ]
-        )
+        writer.writerow(EVENT_COLUMNS)
         for event in events:
             writer.writerow(
                 [
@@ -511,17 +512,7 @@ def read_event_csv(path) -> list[EvolutionEvent]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        expected = [
-            "frame",
-            "kind",
-            "attribute",
-            "track_id",
-            "predecessors",
-            "successors",
-            "size_before",
-            "size_after",
-        ]
-        if header != expected:
+        if header != EVENT_COLUMNS:
             raise ValueError(f"unexpected header {header!r} in {path}")
         for row in reader:
             frame, kind, _attr, track, preds, succs, before, after = row

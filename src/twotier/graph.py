@@ -279,11 +279,14 @@ def closeness_all(graph: FrameGraph) -> dict[str, float]:
     }
 
 
+EDGE_COLUMNS = ["frame", "node_a", "node_b", "weight"]
+
+
 def write_edge_csv(path, frames: Iterable[FrameGraph]) -> None:
     """Dump frames as ``frame,node_a,node_b,weight`` rows, sorted."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["frame", "node_a", "node_b", "weight"])
+        writer.writerow(EDGE_COLUMNS)
         for frame in frames:
             for u, v, w in frame.edges():
                 writer.writerow([frame.frame_index, u, v, w])
@@ -299,7 +302,7 @@ def read_edge_csv(path) -> dict[int, FrameGraph]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header != ["frame", "node_a", "node_b", "weight"]:
+        if header != EDGE_COLUMNS:
             raise ValueError(f"unexpected header {header!r} in {path}")
         for row in reader:
             frame, u, v, w = row

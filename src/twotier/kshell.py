@@ -197,52 +197,43 @@ def select_backbone(table: InfluenceTable, x: float) -> BackboneSplit:
     return BackboneSplit(x, frozenset(ranked[:take]), frozenset(ranked[take:]))
 
 
-def _frame_coverage(graph: FrameGraph, seeds: Iterable[str]) -> float:
-    n = len(graph)
-    if n == 0:
-        raise ValueError("coverage of an empty graph is undefined")
-    covered: set[str] = set()
-    for seed in seeds:
-        if seed in graph:
-            covered.add(seed)
-            covered.update(graph.neighbors(seed))
-    return len(covered) / n
+def coverage(frames: Iterable[FrameGraph], seeds: Iterable[str]) -> float:
+    """Mean, over the frames holding at least one node, of the fraction of
+    a frame's nodes that are a seed or adjacent to one.
 
-
-def coverage(target, seeds: Iterable[str]) -> float:
-    """Fraction of nodes that are a seed or adjacent to one.
-
-    For a single graph this is |seeds union their neighbours| / |nodes|.
-    For a dynamic network it is the mean of the per-frame coverages over
-    frames holding at least one node.
+    A single graph is scored as the one-frame sequence ``[graph]``.
     """
     seeds = list(seeds)
-    if isinstance(target, FrameGraph):
-        return _frame_coverage(target, seeds)
-    if not isinstance(target, DynamicNetwork):
-        raise TypeError(f"expected FrameGraph or DynamicNetwork, got {type(target)!r}")
-    values = [
-        _frame_coverage(frame, seeds) for frame in target.frames if len(frame) > 0
-    ]
+    values = []
+    for frame in frames:
+        if len(frame) == 0:
+            continue
+        covered: set[str] = set()
+        for seed in seeds:
+            if seed in frame:
+                covered.add(seed)
+                covered.update(frame.neighbors(seed))
+        values.append(len(covered) / len(frame))
     if not values:
         raise ValueError("coverage of a network with no populated frames is undefined")
     return mean(values)
 
 
 def coverage_curve(
-    target, ranked: Sequence[str], x_values: Sequence[float]
+    frames: Sequence[FrameGraph], ranked: Sequence[str], x_values: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Coverage of ``target`` (as in :func:`coverage`) by the top X% of
+    """Coverage of ``frames`` (as in :func:`coverage`) by the top X% of
     ``ranked``, for each X in ``x_values``.
 
     The seed count follows the backbone-selection rule.  The paper's two
-    curves are ``(network, table.ranking())`` for the frame-aware ranking
-    and ``(aggregate_graph, aggregate_ranking(...))`` for the frame-free one.
+    curves are ``(network.frames, table.ranking())`` for the frame-aware
+    ranking and ``([aggregate_graph], aggregate_ranking(...))`` for the
+    frame-free one.
     """
     points = []
     for x in x_values:
         take = backbone_size(len(ranked), x)
-        points.append((x, coverage(target, ranked[:take])))
+        points.append((x, coverage(frames, ranked[:take])))
     return points
 
 

@@ -394,9 +394,9 @@ def _tier_one(records, network: DynamicNetwork, config: PipelineConfig, bundle: 
     table = kshell.dynamic_influence(network, agg)
     agg_shells = kshell.wks_decompose(agg)
     curves = {
-        "dwks": kshell.coverage_curve(network, table.ranking(), config.curve_x),
+        "dwks": kshell.coverage_curve(network.frames, table.ranking(), config.curve_x),
         "wks_aggregate": kshell.coverage_curve(
-            agg, kshell.aggregate_ranking(agg, agg_shells), config.curve_x
+            [agg], kshell.aggregate_ranking(agg, agg_shells), config.curve_x
         ),
     }
     member_stats = _member_stats(records, network, agg, closeness_all(agg))

@@ -72,6 +72,12 @@ def test_cli_error_paths(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "u")])
     assert code == 2
     assert "too long" in capsys.readouterr().err
+    # an output directory that is a file is named, not a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["synth", "--preset", "small", "--out-dir", str(taken)])
+    assert code == 2
+    assert str(taken) in capsys.readouterr().err
 
 
 def test_report_rejects_missing_bundle(tmp_path, capsys):
@@ -83,6 +89,11 @@ def test_report_rejects_missing_bundle(tmp_path, capsys):
     code = main(["report", "--bundle", str(tmp_path / "other")])
     assert code == 2
     assert "is not a twotier summary" in capsys.readouterr().err
+    # a summary.json that is a directory is reported, not a traceback
+    (tmp_path / "odd" / "summary.json").mkdir(parents=True)
+    code = main(["report", "--bundle", str(tmp_path / "odd")])
+    assert code == 2
+    assert "summary.json" in capsys.readouterr().err
 
 
 def test_subcommand_required():

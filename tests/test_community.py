@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import networkx as nx
@@ -196,39 +195,56 @@ def test_detect_all_aggregates_q(tmp_path):
 
 
 def _kernel_inputs(rng, max_edges):
-    """A random graph's rows and strengths as ints (level 0) and floats
-    (collapsed levels), random start labels (some unused) and a node order."""
+    """Kernel runs on a random graph: its rows and strengths as ints (level
+    0) and floats, and a collapsed level of it, whose strengths count the
+    self-loops its rows leave out.  Each run has random start labels (some
+    unused), a node order, and whether the full sweep may isolate a node:
+    only where the graph has no self-loops."""
     g = FrameGraph(0, random_weighted_adj(rng, max_nodes=30, max_edges=max_edges))
     if g.total_weight == 0:
-        return None
+        return []
     _nodes, rows, k = g.local_form()
     as_floats = ([{u: float(w) for u, w in row.items()} for row in rows], [float(s) for s in k])
-    start = [rng.randrange(len(rows)) for _ in rows]
-    order = rng.sample(range(len(rows)), len(rows))
-    return ((rows, k), as_floats), start, order, 2.0 * g.total_weight
+    groups = [rng.randrange(1 + rng.randrange(len(rows))) for _ in rows]
+    dense = {c: i for i, c in enumerate(sorted(set(groups)))}
+    collapsed = community._collapse(*as_floats, [dense[c] for c in groups])
+    runs = []
+    for (adj, strengths), isolate in ((rows, k), True), (as_floats, True), (collapsed, False):
+        start = [rng.randrange(len(adj)) for _ in adj]
+        order = rng.sample(range(len(adj)), len(adj))
+        runs.append((adj, strengths, start, order, 2.0 * g.total_weight, isolate))
+    return runs
 
 
 def test_move_nodes_equals_full_sweep_kernel(monkeypatch):
-    """Skipping nodes whose inputs did not change and skipping the ordered
-    scan when nothing beats staying change nothing; many of the runs still
-    move in a third sweep, after both shortcuts have had their chance."""
+    """The kernel, which keeps each node's community weights up to date,
+    skips the ordered scan when nothing beats staying and offers no
+    isolating move, ends where the full sweep does: the full sweep sums the
+    weights from each row at every evaluation, and may isolate a node on
+    graphs without self-loops.  Many of the runs still move in a third
+    sweep, long after the kept weights first changed."""
     rng = random.Random(94)
-    inputs = [_kernel_inputs(rng, 90) for _ in range(120)]
-    inputs += [_kernel_inputs(rng, 200) for _ in range(40)]
+    runs = [run for _ in range(200) for run in _kernel_inputs(rng, 90)]
+    runs += [run for _ in range(60) for run in _kernel_inputs(rng, 200)]
     long_runs = 0
-    for case in filter(None, inputs):
-        forms, start, order, m2 = case
-        for (adj, k), isolate in itertools.product(forms, (False, True)):
-            fast, slow = list(start), list(start)
-            moved = community._move_nodes(adj, k, fast, order, m2, isolate)
-            assert moved == full_sweep_move_nodes(adj, k, slow, order, m2, isolate)
-            assert fast == slow
-            with monkeypatch.context() as capped:
-                capped.setattr(community, "_MAX_SWEEPS", 2)
-                two_sweeps = list(start)
-                full_sweep_move_nodes(adj, k, two_sweeps, order, m2, isolate)
-            long_runs += two_sweeps != slow
+    for adj, k, start, order, m2, isolate in runs:
+        fast, slow = list(start), list(start)
+        moved = community._move_nodes(adj, k, fast, order, m2)
+        assert moved == full_sweep_move_nodes(adj, k, slow, order, m2, isolate)
+        assert fast == slow
+        with monkeypatch.context() as capped:
+            capped.setattr(community, "_MAX_SWEEPS", 2)
+            two_sweeps = list(start)
+            full_sweep_move_nodes(adj, k, two_sweeps, order, m2, isolate)
+        long_runs += two_sweeps != slow
     assert long_runs >= 100
+
+
+def _isolating_full_sweep(adj, k, com, order, m2):
+    """The full sweep, allowed to isolate a node wherever the graph has no
+    self-loops, as at level 0 and in the polish."""
+    loop_free = all(k[v] == sum(row.values()) for v, row in enumerate(adj))
+    return full_sweep_move_nodes(adj, k, com, order, m2, loop_free)
 
 
 @pytest.mark.parametrize("max_sweeps", [None, 1, 2])
@@ -242,7 +258,7 @@ def test_detect_equals_full_sweep_kernel(monkeypatch, max_sweeps):
         g = FrameGraph(0, random_weighted_adj(rng, max_nodes=50, max_edges=edges))
         fast = detect(g, seed=trial)
         with monkeypatch.context() as patched:
-            patched.setattr(community, "_move_nodes", full_sweep_move_nodes)
+            patched.setattr(community, "_move_nodes", _isolating_full_sweep)
             slow = detect(g, seed=trial)
         assert fast.assignment == slow.assignment
         assert fast.q == slow.q

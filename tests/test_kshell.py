@@ -127,9 +127,9 @@ def test_coverage_modes():
     # a network scores the average of its per-frame fractions
     f0 = 2 / 4
     f1 = 2 / 4
-    assert coverage(net, ["a"]) == pytest.approx((f0 + f1) / 2)
+    assert coverage(net.frames, ["a"]) == pytest.approx((f0 + f1) / 2)
     g = net.frames[1]
-    assert coverage(g, ["b"]) == pytest.approx(3 / 4)
+    assert coverage([g], ["b"]) == pytest.approx(3 / 4)
 
 
 def test_coverage_curves_are_monotone_and_comparable():
@@ -144,8 +144,8 @@ def test_coverage_curves_are_monotone_and_comparable():
     net = _network(frame_edges)
     xs = list(range(1, 51))
     agg = aggregate(net)
-    dyn = coverage_curve(net, dynamic_influence(net, agg).ranking(), xs)
-    stat = coverage_curve(agg, aggregate_ranking(agg, wks_decompose(agg)), xs)
+    dyn = coverage_curve(net.frames, dynamic_influence(net, agg).ranking(), xs)
+    stat = coverage_curve([agg], aggregate_ranking(agg, wks_decompose(agg)), xs)
     for curve in (dyn, stat):
         values = [c for _, c in curve]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 from math import comb
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from twotier.community import modularity, read_partition_csv
@@ -46,7 +46,13 @@ def _files(root: Path) -> dict[str, bytes]:
     }
 
 
-@settings(max_examples=25, deadline=None)
+# no shrinking: each shrink step runs the pipeline twice, so a failure would
+# take minutes to report; the first failing log is shown as generated
+@settings(
+    max_examples=25,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 @given(team_logs())
 def test_pipeline_invariants_on_generated_logs(records):
     with tempfile.TemporaryDirectory() as tmp:
