@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .community import Partition
 from .graph import FrameGraph, mean
@@ -35,18 +35,17 @@ def edge_class(class_a: str, class_b: str) -> str:
 class AbstractGraph:
     """Community-level graph of one frame.
 
-    ``sizes`` maps every community node to its member count (isolated
-    communities are still nodes); ``edges`` maps canonical node-key pairs to
-    collapsed link weight.
+    ``nodes`` holds every community node (isolated communities are still
+    nodes); ``edges`` maps canonical node-key pairs to collapsed link weight.
     """
 
     frame_index: int
-    sizes: dict[NodeKey, int]
+    nodes: Collection[NodeKey]
     edges: dict[tuple[NodeKey, NodeKey], int]
     _adj: dict[NodeKey, dict[NodeKey, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        adj: dict[NodeKey, dict[NodeKey, int]] = {v: {} for v in sorted(self.sizes)}
+        adj: dict[NodeKey, dict[NodeKey, int]] = {v: {} for v in sorted(self.nodes)}
         for (a, b), w in sorted(self.edges.items()):
             if a not in adj or b not in adj:
                 raise ValueError(f"edge {a}-{b} references an unknown community")
@@ -58,7 +57,7 @@ class AbstractGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self.sizes)
+        return len(self._adj)
 
     @property
     def edge_count(self) -> int:
@@ -116,16 +115,8 @@ def abstract(
         if stray:
             raise ValueError(f"general partition holds non-general members: {stray}")
 
-    node_of: dict[str, NodeKey] = {}
-    sizes: dict[NodeKey, int] = {}
-    for member, community in bsn_map.items():
-        key = (BACKBONE_CLASS, community)
-        node_of[member] = key
-        sizes[key] = sizes.get(key, 0) + 1
-    for member, community in gsn_map.items():
-        key = (GENERAL_CLASS, community)
-        node_of[member] = key
-        sizes[key] = sizes.get(key, 0) + 1
+    node_of = {m: (BACKBONE_CLASS, c) for m, c in bsn_map.items()}
+    node_of.update((m, (GENERAL_CLASS, c)) for m, c in gsn_map.items())
 
     missing = sorted(set(frame.nodes) - node_of.keys())[:3]
     if missing:
@@ -138,7 +129,7 @@ def abstract(
             continue  # intra-community links are hidden at this level
         pair = (a, b) if a < b else (b, a)
         edges[pair] = edges.get(pair, 0) + w
-    return AbstractGraph(frame.frame_index, sizes, edges)
+    return AbstractGraph(frame.frame_index, set(node_of.values()), edges)
 
 
 def density(agraph: AbstractGraph, node_class: str | None = None) -> float:

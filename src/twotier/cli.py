@@ -84,7 +84,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         with open(summary_path) as handle:
             text = report_mod.report_text(json.load(handle))
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         raise CommandError(f"{summary_path} is not a twotier summary") from None
     sys.stdout.write(text)
     return 0

@@ -173,7 +173,6 @@ class Timeline:
     frame, then kind.
     """
 
-    communities: list[list[frozenset[str]]]
     events: list[EvolutionEvent]
     track_of: dict[CommunityRef, int]
 
@@ -404,7 +403,7 @@ def classify(
     events.sort(
         key=lambda e: (e.frame, _KIND_ORDER[e.kind], e.successors, e.predecessors)
     )
-    return Timeline(frames, events, track_of)
+    return Timeline(events, track_of)
 
 
 def _reemergence_candidates(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .graph import DynamicNetwork, FrameGraph, aggregate, mean
@@ -34,22 +34,8 @@ def weighted_degree_value(degree: int, weight_sum: int) -> int:
     return root + 1 if product - root * root > root else root
 
 
-@dataclass(frozen=True)
-class ShellAssignment:
-    """Result of one decomposition: node -> shell index (>= 1)."""
-
-    frame_index: int
-    shells: dict[str, int]
-
-    def max_shell(self) -> int:
-        return max(self.shells.values(), default=0)
-
-    def distinct_shells(self) -> int:
-        return len(set(self.shells.values()))
-
-
-def wks_decompose(graph: FrameGraph) -> ShellAssignment:
-    """Weighted k-shell decomposition of one graph.
+def wks_decompose(graph: FrameGraph) -> dict[str, int]:
+    """Weighted k-shell decomposition of one graph: node -> shell index (>= 1).
 
     Starting at shell index k = 1, repeatedly remove every node whose
     current weighted degree is <= k (recomputing weighted degrees on the
@@ -90,22 +76,20 @@ def wks_decompose(graph: FrameGraph) -> ShellAssignment:
                         touched.add(other)
             batch = [v for v in sorted(touched) if v in alive and current(v) <= k]
         k += 1
-    return ShellAssignment(graph.frame_index, shells)
+    return shells
 
 
 @dataclass
 class InfluenceTable:
-    """Per-frame shells and accumulated influence for every registry member.
+    """Accumulated influence and the tier-one facts of every registry member.
 
-    ``per_frame`` holds shell indices only for (member, frame) pairs where
-    the member was present; absent frames contribute 0 by omission.
     ``tiebreak_degree`` is the member's distinct-neighbour count in the
-    aggregate graph.
+    aggregate graph; ``active`` counts the frames the member is present in.
     """
 
     total: dict[str, int]
     tiebreak_degree: dict[str, int]
-    per_frame: dict[tuple[str, int], int] = field(repr=False)
+    active: dict[str, int]
 
     def ranking(self) -> list[str]:
         """Members ordered by (influence desc, degree desc, id asc)."""
@@ -144,26 +128,21 @@ def dynamic_influence(
         m: (aggregate_graph.degree(m) if m in aggregate_graph else 0)
         for m in total
     }
-    per_frame: dict[tuple[str, int], int] = {}
+    active = dict.fromkeys(total, 0)
     for frame in network.frames:
-        assignment = wks_decompose(frame)
-        for member, shell in assignment.shells.items():
-            per_frame[(member, frame.frame_index)] = shell
+        for member, shell in wks_decompose(frame).items():
             total[member] += shell
-    return InfluenceTable(
-        total=total,
-        tiebreak_degree=tiebreak,
-        per_frame=per_frame,
-    )
+            active[member] += 1
+    return InfluenceTable(total=total, tiebreak_degree=tiebreak, active=active)
 
 
-def aggregate_ranking(aggregate_graph: FrameGraph, shells: ShellAssignment) -> list[str]:
+def aggregate_ranking(aggregate_graph: FrameGraph, shells: Mapping[str, int]) -> list[str]:
     """Members of the aggregate graph ordered by the frame-free method:
     (aggregate shell desc, degree desc, id asc), where ``shells`` is the
     graph's :func:`wks_decompose`."""
     return sorted(
         aggregate_graph.nodes,
-        key=lambda m: (-shells.shells[m], -aggregate_graph.degree(m), m),
+        key=lambda m: (-shells[m], -aggregate_graph.degree(m), m),
     )
 
 
@@ -239,9 +218,6 @@ def coverage_curve(
 
 def write_influence_csv(path, table: InfluenceTable) -> None:
     """Dump influence rows: member_id,total_influence,tiebreak_degree,frames_active."""
-    active: dict[str, int] = {m: 0 for m in table.total}
-    for member, _frame in table.per_frame:
-        active[member] += 1
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
@@ -253,7 +229,7 @@ def write_influence_csv(path, table: InfluenceTable) -> None:
                     member,
                     table.total[member],
                     table.tiebreak_degree[member],
-                    active[member],
+                    table.active[member],
                 ]
             )
 

@@ -21,7 +21,6 @@ from typing import Mapping
 from . import abstraction, community, evolution, kshell, synth
 from .graph import (
     DynamicNetwork,
-    FrameGraph,
     aggregate,
     closeness_all,
     mean,
@@ -189,47 +188,38 @@ class ProfileRow:
     avg_active_frames: float | None
 
 
-def _member_stats(
-    records, network: DynamicNetwork, agg: FrameGraph, closeness_values: dict
-):
-    """Per member: aggregate degree, closeness, type A and type B teams
-    joined, and frames present in."""
-    stats: dict[str, dict] = {}
-    for member in sorted(network.members):
-        stats[member] = {
-            "degree": agg.degree(member) if member in agg else 0,
-            "closeness": closeness_values.get(member, 0.0),
-            "type_a": 0,
-            "type_b": 0,
-            "active": 0,
-        }
+def _member_stats(records, table: kshell.InfluenceTable, closeness_values: Mapping):
+    """One ``{member: value}`` column per statistic: aggregate degree,
+    closeness, type A and type B teams joined, and frames present in."""
+    type_a = dict.fromkeys(table.total, 0)
+    type_b = dict.fromkeys(table.total, 0)
     for record in records:
-        key = "type_a" if record.activity_type is ActivityType.A else "type_b"
+        column = type_a if record.activity_type is ActivityType.A else type_b
         for member in record.members:
-            stats[member][key] += 1
-    for frame in network.frames:
-        for node in frame.nodes:
-            stats[node]["active"] += 1
-    return stats
+            column[member] += 1
+    return {
+        "degree": table.tiebreak_degree,
+        "closeness": {m: closeness_values.get(m, 0.0) for m in table.total},
+        "type_a": type_a,
+        "type_b": type_b,
+        "active": table.active,
+    }
 
 
 def member_profiles(
-    split: kshell.BackboneSplit, member_stats: Mapping[str, dict]
+    split: kshell.BackboneSplit, member_stats: Mapping[str, Mapping[str, float]]
 ) -> dict[str, ProfileRow]:
-    """Average degree/closeness/participation/presence per group."""
+    """Average degree/closeness/participation/presence per group, from one
+    ``{member: value}`` column per statistic."""
+    keys = ("degree", "closeness", "type_a", "type_b", "active")
     rows = {}
     for group, members in (("BM", split.backbone), ("GM", split.general)):
-        count = len(members)
-        if count == 0:
+        if not members:
             rows[group] = ProfileRow(group, 0, None, None, None, None, None)
             continue
-        keys = ("degree", "closeness", "type_a", "type_b", "active")
-        sums = {k: 0.0 for k in keys}
-        for member in sorted(members):
-            row = member_stats[member]
-            for k in keys:
-                sums[k] += row[k]
-        rows[group] = ProfileRow(group, count, *(sums[k] / count for k in keys))
+        ordered = sorted(members)
+        averages = (mean(member_stats[k][m] for m in ordered) for k in keys)
+        rows[group] = ProfileRow(group, len(members), *averages)
     return rows
 
 
@@ -399,15 +389,15 @@ def _tier_one(records, network: DynamicNetwork, config: PipelineConfig, bundle: 
             [agg], kshell.aggregate_ranking(agg, agg_shells), config.curve_x
         ),
     }
-    member_stats = _member_stats(records, network, agg, closeness_all(agg))
+    member_stats = _member_stats(records, table, closeness_all(agg))
     kshell.write_influence_csv(bundle.path("network/influence.csv"), table)
     kshell.write_coverage_csv(bundle.path("network/coverage.csv"), curves)
     blocks = {
         "shell_statistics": {
             "dynamic": table.shell_statistics(),
             "dynamic_max_total": max(table.total.values(), default=0),
-            "aggregate_distinct_shells": agg_shells.distinct_shells(),
-            "aggregate_max_shell": agg_shells.max_shell(),
+            "aggregate_distinct_shells": len(set(agg_shells.values())),
+            "aggregate_max_shell": max(agg_shells.values(), default=0),
         },
         "coverage": {
             method: {str(x): value for x, value in points}

@@ -25,6 +25,7 @@ from datetime import timedelta
 from typing import Sequence
 
 from .ingest import (
+    CSV_HEADER,
     ActivityType,
     FrameSpec,
     TeamRecord,
@@ -343,7 +344,7 @@ def write_log_csv(path, records: Sequence[TeamRecord]) -> None:
     """Write records in the CSV log schema (members joined with ';')."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["team_id", "activity_id", "activity_type", "timestamp", "members"])
+        writer.writerow(CSV_HEADER)
         for record in records:
             writer.writerow(
                 [

@@ -21,13 +21,12 @@ from .oracles import brute_betweenness, dict_brandes_betweenness, random_weighte
 
 
 def _agraph(n_bc, n_gc, edges):
-    """AbstractGraph builder with nodes BC0..  GC0.. and unit sizes."""
+    """AbstractGraph builder with nodes BC0..  GC0.."""
     keys = [("BC", i) for i in range(n_bc)] + [("GC", i) for i in range(n_gc)]
-    sizes = {k: 3 for k in keys}
     named = {}
     for a, b, w in edges:
         named[tuple(sorted((a, b)))] = w
-    return AbstractGraph(0, sizes, named)
+    return AbstractGraph(0, keys, named)
 
 
 def test_edge_class_names():
@@ -111,7 +110,7 @@ def test_betweenness_matches_brute_enumeration():
         for a, b in combinations(keys, 2):
             if rng.random() < 0.3:
                 edges[(a, b)] = 1
-        ag = AbstractGraph(0, {k: 1 for k in keys}, edges)
+        ag = AbstractGraph(0, keys, edges)
         adj = {k: dict(ag.neighbors(k)) for k in keys}
         want = brute_betweenness(adj)
         got = betweenness(ag)
@@ -128,7 +127,7 @@ def _random_agraph(rng):
         for v, w in row.items():
             a, b = sorted((key[u], key[v]))
             edges[(a, b)] = w
-    return AbstractGraph(3, {k: 1 for k in key.values()}, edges)
+    return AbstractGraph(3, set(key.values()), edges)
 
 
 def test_betweenness_equals_dict_keyed_brandes():
@@ -143,7 +142,7 @@ def test_betweenness_matches_networkx():
     for _ in range(40):
         ag = _random_agraph(rng)
         g = nx.Graph()
-        g.add_nodes_from(ag.sizes)
+        g.add_nodes_from(ag.nodes)
         g.add_edges_from(ag.edges)
         want = nx.betweenness_centrality(g, normalized=False)
         got = betweenness(ag)

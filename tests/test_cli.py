@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,15 @@ def test_synth_then_analyze_then_report(tmp_path, capsys):
     assert code == 0
     shown = capsys.readouterr().out
     assert "members" in shown
+
+    # a summary value of the wrong JSON type is rejected, not a traceback
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["x"]["10"]["filters"]["full"]["event_shares"] = []
+    summary_path.write_text(json.dumps(summary))
+    code = main(["report", "--bundle", str(out)])
+    assert code == 2
+    assert "is not a twotier summary" in capsys.readouterr().err
 
 
 def test_analyze_with_preset(tmp_path):
@@ -99,3 +112,27 @@ def test_report_rejects_missing_bundle(tmp_path, capsys):
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_analyze_needs_no_test_only_package(tmp_path):
+    # the test extras stay test-only: the pipeline runs with them unimportable
+    script = (
+        "import sys\n"
+        "for name in ('numpy', 'scipy', 'networkx', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "from twotier.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    out = tmp_path / "bundle"
+    done = subprocess.run(
+        [sys.executable, "-c", script, "analyze", "--preset", "small",
+         "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (out / "summary.json").is_file()

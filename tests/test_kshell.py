@@ -47,18 +47,18 @@ def test_wks_shells_on_known_graph():
              ("d", "leaf", 1)]
     g = FrameGraph.from_edges(0, edges, nodes=["a", "b", "c", "d", "leaf", "iso"])
     shells = wks_decompose(g)
-    assert shells.shells["leaf"] == 1
-    assert shells.shells["iso"] == 1
-    assert shells.shells["a"] == shells.shells["b"] == shells.shells["c"] == shells.shells["d"]
-    assert shells.shells["a"] > 1
-    assert shells.max_shell() == shells.shells["a"]
+    assert shells["leaf"] == 1
+    assert shells["iso"] == 1
+    assert shells["a"] == shells["b"] == shells["c"] == shells["d"]
+    assert shells["a"] > 1
+    assert max(shells.values()) == shells["a"]
 
 
 def test_wks_matches_naive_oracle_on_random_graphs():
     rng = random.Random(99)
     for _ in range(60):
         adj = random_weighted_adj(rng, max_nodes=30, max_edges=90)
-        got = wks_decompose(FrameGraph(0, adj)).shells
+        got = wks_decompose(FrameGraph(0, adj))
         want = naive_wks(adj)
         assert got == want
 
@@ -69,13 +69,14 @@ def test_influence_is_sum_of_per_frame_shells():
         [("a", "b", 1)],
     ])
     table = dynamic_influence(net)
-    per_frame = [wks_decompose(g).shells for g in net.frames]
+    per_frame = [wks_decompose(g) for g in net.frames]
     for m in ("a", "b", "c"):
         want = sum(sh.get(m, 0) for sh in per_frame)
         assert table.total[m] == want
     # c sits out frame 1: that frame contributes nothing
-    assert table.per_frame.get(("c", 1), 0) == 0
-    assert sum(1 for (m, _t) in table.per_frame if m == "c") == 1
+    assert "c" not in per_frame[1]
+    assert table.total["c"] == per_frame[0]["c"]
+    assert table.active == {"a": 2, "b": 2, "c": 1}
 
 
 def test_ranking_tiebreaks_by_degree_then_id():

@@ -93,9 +93,11 @@ def test_member_profiles_group_averages():
     table = dynamic_influence(net)
     split = select_backbone(table, 34)
     stats = {
-        m: {"degree": g.degree(m), "closeness": 0.5, "type_a": 1,
-            "type_b": 2, "active": 1}
-        for m in net.members
+        "degree": {m: g.degree(m) for m in net.members},
+        "closeness": dict.fromkeys(net.members, 0.5),
+        "type_a": dict.fromkeys(net.members, 1),
+        "type_b": dict.fromkeys(net.members, 2),
+        "active": dict.fromkeys(net.members, 1),
     }
     rows = member_profiles(split, stats)
     assert set(rows) == {"BM", "GM"}
