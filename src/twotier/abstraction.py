@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .community import Partition
 from .graph import FrameGraph, mean
 from .kshell import BackboneSplit
 
@@ -84,16 +83,16 @@ class AbstractGraph:
 
 def abstract(
     frame: FrameGraph,
-    bsn_partition: Partition | Mapping[str, int],
-    gsn_partition: Partition | Mapping[str, int],
+    bsn_map: Mapping[str, int],
+    gsn_map: Mapping[str, int],
     split: BackboneSplit | None = None,
 ) -> AbstractGraph:
     """Collapse one frame to the community level.
 
     Args:
         frame: the full frame graph (backbone + general members).
-        bsn_partition: community assignment of the frame's backbone members.
-        gsn_partition: community assignment of the frame's general members.
+        bsn_map: community assignment of the frame's backbone members.
+        gsn_map: community assignment of the frame's general members.
         split: optional; when given, partition membership is checked against
             the declared backbone/general sets.
 
@@ -101,8 +100,6 @@ def abstract(
         ValueError: if a member is assigned on both sides, a partition
             contradicts ``split``, or a frame node is assigned on neither.
     """
-    bsn_map = bsn_partition.assignment if isinstance(bsn_partition, Partition) else bsn_partition
-    gsn_map = gsn_partition.assignment if isinstance(gsn_partition, Partition) else gsn_partition
     both = bsn_map.keys() & gsn_map.keys()
     if both:
         sample = sorted(both)[:3]

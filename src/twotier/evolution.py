@@ -81,20 +81,6 @@ class EvolutionEvent:
         return ATTRIBUTE[self.kind]
 
 
-@dataclass
-class MatchResult:
-    """Bipartite inclusion matches between two consecutive frames.
-
-    ``succs[i]`` lists matched successor ids of predecessor i, ``preds[j]``
-    the matched predecessor ids of successor j, and ``overlap[(i, j)]`` the
-    shared member count of every matched pair.
-    """
-
-    succs: dict[int, list[int]]
-    preds: dict[int, list[int]]
-    overlap: dict[tuple[int, int], int]
-
-
 def _as_sets(communities: Sequence[Collection[str]], label: str) -> list[frozenset[str]]:
     out = []
     seen: dict[str, int] = {}
@@ -113,35 +99,21 @@ def _as_sets(communities: Sequence[Collection[str]], label: str) -> list[frozens
     return out
 
 
-def match(
-    prev: Sequence[Collection[str]],
-    nxt: Sequence[Collection[str]],
-    alpha: float = 0.5,
-    beta: float = 0.5,
-) -> MatchResult:
-    """Match communities of one frame to the next by fractional inclusion.
-
-    P matches N when |P & N| / |P| >= alpha or |P & N| / |N| >= beta.  Both
-    thresholds must lie in (0, 1].  A community may match several on the
-    other side; the caller interprets the multiplicity.
-    """
-    _check_thresholds(alpha, beta)
-    prev_sets = _as_sets(prev, "predecessor frame")
-    return _match(prev_sets, _as_sets(nxt, "successor frame"), alpha, beta)
-
-
-def _check_thresholds(alpha: float, beta: float) -> None:
-    if not 0 < alpha <= 1 or not 0 < beta <= 1:
-        raise ValueError(f"alpha and beta must lie in (0, 1], got {alpha}, {beta}")
-
-
 def _match(
     prev_sets: Sequence[frozenset[str]],
     nxt_sets: Sequence[frozenset[str]],
     alpha: float,
     beta: float,
-) -> MatchResult:
-    """:func:`match` on member sets :func:`_as_sets` has already checked."""
+) -> tuple[dict[int, list[int]], dict[int, list[int]], dict[tuple[int, int], int]]:
+    """Match communities of one frame to the next by fractional inclusion.
+
+    P matches N when |P & N| / |P| >= alpha or |P & N| / |N| >= beta.
+    Returns ``(succs, preds, overlap)``: ``succs[i]`` lists the matched
+    successor ids of predecessor i, ``preds[j]`` the matched predecessor ids
+    of successor j, and ``overlap[(i, j)]`` the shared member count of every
+    matched pair.  A community may match several on the other side; the
+    caller interprets the multiplicity.
+    """
     member_to_next: dict[str, int] = {}
     for j, group in enumerate(nxt_sets):
         for member in group:
@@ -161,7 +133,7 @@ def _match(
                 succs[i].append(j)
                 preds[j].append(i)
                 overlap[(i, j)] = shared
-    return MatchResult(succs=succs, preds=preds, overlap=overlap)
+    return succs, preds, overlap
 
 
 @dataclass
@@ -188,7 +160,7 @@ def classify(
     Args:
         communities_by_frame: for each frame, the list of member sets
             (index in the list is the community id within the frame).
-        alpha, beta: inclusion thresholds of the matcher.
+        alpha, beta: inclusion thresholds of the matcher, each in (0, 1].
         continue_jaccard: an exclusive one-to-one match of unchanged size
             whose Jaccard similarity falls below this is not a Continue;
             the pair is treated as unmatched (the old community ends, the
@@ -198,18 +170,37 @@ def classify(
     Split/Merge) are stamped with the successor frame; Form/ReEmerge with
     the frame of appearance; Suspend/Dissolve with the last frame the
     community was present.  Occurrences in the final frame carry no
-    exit-side event (their future is unobserved).
+    exit-side event (their future is unobserved).  Every event's
+    ``size_before`` and ``size_after`` are the summed member counts of its
+    predecessors and successors, or None when it has none.
     """
+    if not 0 < alpha <= 1 or not 0 < beta <= 1:
+        raise ValueError(f"alpha and beta must lie in (0, 1], got {alpha}, {beta}")
     frames = [
         _as_sets(frame_comms, f"frame {t}")
         for t, frame_comms in enumerate(communities_by_frame)
     ]
-    last = len(frames) - 1
     events: list[EvolutionEvent] = []
     track_of: dict[CommunityRef, int] = {}
     pending: dict[int, CommunityRef] = {}  # track -> occurrence awaiting its fate
     waiting: dict[str, set[int]] = {}  # member -> pending tracks holding it
     next_track = 0
+
+    def size(refs: tuple[CommunityRef, ...]) -> int | None:
+        if not refs:
+            return None
+        return sum(len(frames[frame][community]) for frame, community in refs)
+
+    def emit(
+        kind: EventKind,
+        frame: int,
+        track: int,
+        preds: tuple[CommunityRef, ...] = (),
+        succs: tuple[CommunityRef, ...] = (),
+    ) -> None:
+        events.append(
+            EvolutionEvent(kind, frame, track, preds, succs, size(preds), size(succs))
+        )
 
     def start_track(ref: CommunityRef) -> int:
         nonlocal next_track
@@ -229,22 +220,10 @@ def classify(
             waiting[member].discard(track)
         return ref
 
-    if frames:
-        for j, group in enumerate(frames[0]):
-            ref = CommunityRef(0, j)
-            track = start_track(ref)
-            events.append(
-                EvolutionEvent(
-                    EventKind.FORM, 0, track, (), (ref,), None, len(group)
-                )
-            )
-
-    if len(frames) > 1:
-        _check_thresholds(alpha, beta)
-    for t in range(len(frames) - 1):
-        prev, nxt = frames[t], frames[t + 1]
-        result = _match(prev, nxt, alpha, beta)
-        succs, preds, overlap = result.succs, result.preds, result.overlap
+    # Frame 0 follows an empty frame, so every community of it forms.
+    for t in range(-1, len(frames) - 1):
+        prev, nxt = frames[t] if t >= 0 else [], frames[t + 1]
+        succs, preds, overlap = _match(prev, nxt, alpha, beta)
 
         # An exclusive one-to-one match of unchanged size that kept too few
         # members is no continuation; drop the match entirely.
@@ -288,7 +267,7 @@ def classify(
         )
         resumed: dict[int, int] = {}  # successor j -> track
         used_tracks: set[int] = set()
-        for neg_shared, j, neg_frame, track in sorted(candidates):
+        for _, j, _, track in sorted(candidates):
             if j in resumed or track in used_tracks:
                 continue
             resumed[j] = track
@@ -300,53 +279,18 @@ def classify(
                 track = resumed[j]
                 old_ref = resume(track)
                 track_of[ref] = track
-                events.append(
-                    EvolutionEvent(
-                        EventKind.SUSPEND,
-                        old_ref.frame,
-                        track,
-                        (old_ref,),
-                        (),
-                        len(frames[old_ref.frame][old_ref.community]),
-                        None,
-                    )
-                )
-                events.append(
-                    EvolutionEvent(
-                        EventKind.REEMERGE,
-                        t + 1,
-                        track,
-                        (old_ref,),
-                        (ref,),
-                        len(frames[old_ref.frame][old_ref.community]),
-                        len(nxt[j]),
-                    )
-                )
+                emit(EventKind.SUSPEND, old_ref.frame, track, (old_ref,))
+                emit(EventKind.REEMERGE, t + 1, track, (old_ref,), (ref,))
             else:
-                track = start_track(ref)
-                events.append(
-                    EvolutionEvent(
-                        EventKind.FORM, t + 1, track, (), (ref,), None, len(nxt[j])
-                    )
-                )
+                emit(EventKind.FORM, t + 1, start_track(ref), succs=(ref,))
 
         # Size/identity events of the transition itself.
         for j in range(len(nxt)):
             ps = preds[j]
             ref = CommunityRef(t + 1, j)
+            refs = tuple(CommunityRef(t, i) for i in ps)
             if len(ps) >= 2:
-                refs = tuple(CommunityRef(t, i) for i in ps)
-                events.append(
-                    EvolutionEvent(
-                        EventKind.MERGE,
-                        t + 1,
-                        track_of[ref],
-                        refs,
-                        (ref,),
-                        sum(len(prev[i]) for i in ps),
-                        len(nxt[j]),
-                    )
-                )
+                emit(EventKind.MERGE, t + 1, track_of[ref], refs, (ref,))
             elif len(ps) == 1:
                 i = ps[0]
                 if len(succs[i]) != 1:
@@ -356,49 +300,19 @@ def classify(
                     kind = EventKind.GROW
                 elif len(nxt[j]) < len(prev[i]):
                     kind = EventKind.SHRINK
-                events.append(
-                    EvolutionEvent(
-                        kind,
-                        t + 1,
-                        track_of[ref],
-                        (CommunityRef(t, i),),
-                        (ref,),
-                        len(prev[i]),
-                        len(nxt[j]),
-                    )
-                )
+                emit(kind, t + 1, track_of[ref], refs, (ref,))
         for i in range(len(prev)):
             ref = CommunityRef(t, i)
             if len(succs[i]) >= 2:
                 refs = tuple(CommunityRef(t + 1, j) for j in succs[i])
-                events.append(
-                    EvolutionEvent(
-                        EventKind.SPLIT,
-                        t + 1,
-                        track_of[ref],
-                        (ref,),
-                        refs,
-                        len(prev[i]),
-                        sum(len(nxt[j]) for j in succs[i]),
-                    )
-                )
+                emit(EventKind.SPLIT, t + 1, track_of[ref], (ref,), refs)
             elif not succs[i]:
                 suspend(track_of[ref], ref)
 
-    # Tracks that broke off and never came back dissolved at their last frame.
+    # Tracks that broke off and never came back dissolved at their last
+    # frame.  Only frames before the last suspend, so none is in the last.
     for track, ref in sorted(pending.items()):
-        if ref.frame < last:
-            events.append(
-                EvolutionEvent(
-                    EventKind.DISSOLVE,
-                    ref.frame,
-                    track,
-                    (ref,),
-                    (),
-                    len(frames[ref.frame][ref.community]),
-                    None,
-                )
-            )
+        emit(EventKind.DISSOLVE, ref.frame, track, (ref,))
 
     events.sort(
         key=lambda e: (e.frame, _KIND_ORDER[e.kind], e.successors, e.predecessors)
@@ -417,8 +331,10 @@ def _reemergence_candidates(
 ) -> list[tuple[int, int, int, int]]:
     """Pending tracks that an unmatched community of frame ``t`` may resume.
 
-    A track qualifies when its last occurrence lies at least two frames back
-    and passes the inclusion test against the community.  Each candidate is
+    A track qualifies when its last occurrence passes the inclusion test
+    against the community.  That occurrence always lies at least two frames
+    back: :func:`classify` suspends frame t-1's unmatched communities only
+    after it has taken frame t's candidates.  Each candidate is
     ``(-shared, j, -last frame, track)``; their order is left to the caller.
     Only tracks sharing a member with community j can pass, and ``waiting``
     (member -> pending tracks holding it) yields exactly those, with the
@@ -433,8 +349,6 @@ def _reemergence_candidates(
                 shared_with[track] = shared_with.get(track, 0) + 1
         for track, shared in shared_with.items():
             old_ref = pending[track]
-            if t - old_ref.frame < 2:
-                continue
             old_size = len(frames[old_ref.frame][old_ref.community])
             if shared / old_size >= alpha or shared / len(group) >= beta:
                 candidates.append((-shared, j, -old_ref.frame, track))

@@ -225,7 +225,7 @@ def _parse_jsonl(lines: Iterable[str]) -> list[TeamRecord]:
             continue
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise LogParseError(f"invalid JSON: {exc}", line=number) from None
         if not isinstance(payload, dict):
             raise LogParseError("row is not a JSON object", line=number)

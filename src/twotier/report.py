@@ -123,7 +123,7 @@ def load_config(path: str | None = None, overrides: Mapping | None = None) -> Pi
         with open(path) as handle:
             try:
                 loaded = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
@@ -279,7 +279,7 @@ class _Bundle:
         try:
             manifest = json.loads((self.root / "manifest.json").read_text())
             listed = manifest["artifacts"] if manifest["tool"] == "twotier" else []
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return
         root = self.root.resolve()
         emptied = set()
@@ -456,7 +456,7 @@ def _analyze_filter(fnet, split, config: PipelineConfig, bundle: _Bundle, fdir: 
             "degenerate_frames": parts.degenerate_frames,
         }
     agraphs = [
-        abstraction.abstract(frame, bsn, gsn, split)
+        abstraction.abstract(frame, bsn.assignment, gsn.assignment, split)
         for frame, bsn, gsn in zip(fnet.frames, partitions["bsn"], partitions["gsn"])
     ]
     abstraction.write_abstract_csv(bundle.path(f"{fdir}/abstract.csv"), agraphs)

@@ -8,6 +8,9 @@ import pytest
 
 from twotier.cli import main
 
+# JSON nested past the decoder's recursion limit
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
 
 def test_synth_then_analyze_then_report(tmp_path, capsys):
     synth_dir = tmp_path / "data"
@@ -41,6 +44,9 @@ def test_synth_then_analyze_then_report(tmp_path, capsys):
 
 def test_analyze_with_preset(tmp_path):
     out = tmp_path / "bundle"
+    # a previous manifest too deeply nested to read is ignored as unreadable
+    out.mkdir()
+    (out / "manifest.json").write_text(DEEP_JSON)
     code = main(["analyze", "--preset", "small", "--x", "20",
                  "--curve-x", "20,40", "--type-filter", "B",
                  "--out-dir", str(out)])
@@ -65,6 +71,10 @@ def test_cli_error_paths(tmp_path, capsys):
     # a config file that is not JSON is named in the message
     bad = tmp_path / "bad.json"
     bad.write_text('{"preset": "small", }')
+    code = main(["analyze", "--config", str(bad), "--out-dir", str(tmp_path / "w")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+    bad.write_text(DEEP_JSON)
     code = main(["analyze", "--config", str(bad), "--out-dir", str(tmp_path / "w")])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
@@ -99,6 +109,10 @@ def test_report_rejects_missing_bundle(tmp_path, capsys):
     # a summary.json without the twotier layout is rejected, not a traceback
     (tmp_path / "other").mkdir()
     (tmp_path / "other" / "summary.json").write_text("{}")
+    code = main(["report", "--bundle", str(tmp_path / "other")])
+    assert code == 2
+    assert "is not a twotier summary" in capsys.readouterr().err
+    (tmp_path / "other" / "summary.json").write_text(DEEP_JSON)
     code = main(["report", "--bundle", str(tmp_path / "other")])
     assert code == 2
     assert "is not a twotier summary" in capsys.readouterr().err

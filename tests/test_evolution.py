@@ -10,7 +10,6 @@ from twotier.evolution import (
     EventKind,
     classify,
     event_shares,
-    match,
     read_event_csv,
     timeline_from_partitions,
     write_event_csv,
@@ -45,22 +44,22 @@ def test_attribute_table_is_complete():
 def test_match_inclusion_thresholds():
     prev = [F({"a", "b", "c", "d"})]
     nxt = [F({"a", "b", "x", "y", "z", "w"})]
-    # forward inclusion 2/4 = 0.5 passes alpha
-    res = match(prev, nxt, alpha=0.5, beta=0.5)
-    assert res.succs[0] == [0]
+    # forward inclusion 2/4 = 0.5 passes alpha: the pair matches and grows
+    tl = classify([prev, nxt], alpha=0.5, beta=0.5)
+    assert len(_events_of(tl, EventKind.GROW)) == 1
     # raise alpha; backward inclusion 2/6 < beta, so no match
-    res = match(prev, nxt, alpha=0.75, beta=0.5)
-    assert res.succs[0] == []
+    tl = classify([prev, nxt], alpha=0.75, beta=0.5)
+    assert not _events_of(tl, EventKind.GROW)
     # backward route: successor mostly contained in predecessor
-    res = match([F({"a", "b", "c", "d"})], [F({"a", "b", "c"})], alpha=0.9, beta=0.7)
-    assert res.succs[0] == [0]
+    tl = classify([[F({"a", "b", "c", "d"})], [F({"a", "b", "c"})]], alpha=0.9, beta=0.7)
+    assert len(_events_of(tl, EventKind.SHRINK)) == 1
 
 
 def test_match_rejects_bad_input():
     with pytest.raises(ValueError):
-        match([F()], [F({"a"})])
+        classify([[F()], [F({"a"})]])
     with pytest.raises(ValueError):
-        match([F({"a"}), F({"a", "b"})], [F({"c"})])  # overlapping communities
+        classify([[F({"a"}), F({"a", "b"})], [F({"c"})]])  # overlapping communities
 
 
 def test_classify_first_frame_is_all_form():
@@ -160,7 +159,10 @@ def test_classify_equals_pairwise_reemergence_scan(monkeypatch):
             slow = classify(frames, alpha, beta)
         assert fast.events == slow.events
         assert fast.track_of == slow.track_of
-        reemerged += len(_events_of(fast, EventKind.REEMERGE))
+        # a track resumes no sooner than two frames after it was last seen
+        for event in _events_of(fast, EventKind.REEMERGE):
+            assert event.predecessors[0].frame <= event.frame - 2
+            reemerged += 1
     assert reemerged >= 100
 
 

@@ -144,6 +144,14 @@ def test_parse_log_jsonl_bad_members():
         assert err.value.field == "members"
 
 
+def test_parse_log_jsonl_rejects_deep_nesting():
+    # nesting past the decoder's recursion limit is a parse error naming the line
+    text = "\n" + "[" * 200000 + "]" * 200000 + "\n"
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO(text), format="jsonl")
+    assert err.value.line == 2
+
+
 # --- frame spec -----------------------------------------------------------
 
 def test_frame_spec_needs_exactly_one_window():

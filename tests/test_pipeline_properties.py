@@ -102,10 +102,19 @@ def test_pipeline_invariants_on_generated_logs(records):
                         sub = FrameGraph.from_edges(t, inside, nodes=assign)
                         qs.append(modularity(sub, assign) if inside else 0.0)
                     assert abs(block[side]["average_q"] - mean(qs)) <= 1e-12, (x, fname, side)
-                    existing = {(t, c) for t, assign in parts.items() for c in assign.values()}
+                    sizes: dict[tuple[int, int], int] = {}
+                    for t, assign in parts.items():
+                        for c in assign.values():
+                            sizes[(t, c)] = sizes.get((t, c), 0) + 1
                     for event in read_event_csv(fdir / f"events_{side}.csv"):
                         for ref in event.predecessors + event.successors:
-                            assert (ref.frame, ref.community) in existing, (x, fname, side, ref)
+                            assert (ref.frame, ref.community) in sizes, (x, fname, side, ref)
+                        # an event's sizes are the summed member counts of its
+                        # predecessor and successor communities, None without any
+                        for refs, size in ((event.predecessors, event.size_before),
+                                           (event.successors, event.size_after)):
+                            want = sum(sizes[r] for r in refs) if refs else None
+                            assert size == want, (x, fname, side, event)
                     if fname != "full":
                         continue
                     split = result.splits[int(x)]
