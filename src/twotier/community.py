@@ -215,28 +215,31 @@ def _collapse(
     return new_adj, new_k
 
 
-def detect(graph: FrameGraph, seed: int = 42) -> Partition:
-    """Detect communities in one frame graph.
+def detect_local(
+    rows: Sequence[Mapping[int, int]],
+    strengths: Sequence[int],
+    total_weight: int,
+    seed: int,
+) -> tuple[list[int], float, bool]:
+    """Detect communities in one graph given as its local form.
+
+    Takes a :meth:`~FrameGraph.local_form`'s rows and strengths, the total
+    edge weight and the seed; returns each node's community label in node
+    order, Q and whether the graph was degenerate.  Labels are dense
+    integers 0..C-1 by each community's smallest node.
 
     Edgeless graphs (including the empty graph) cannot be scored, so they
-    yield the all-singletons partition with Q = 0 and ``degenerate=True``.
-    Isolated nodes in an otherwise connected graph always end up as
-    singleton communities, keeping them addressable downstream.
-
-    The input is the graph's :meth:`~FrameGraph.local_form`, which
-    ``FrameGraph.restrict`` hands over ready-made: the sorted nodes, their
-    rows keyed by local id with int weights, and their int strengths.
-    Level 0 and the polish run on those ints; Q is computed from the same
-    rows and strengths.
+    yield all singletons with Q = 0, flagged degenerate.  Isolated nodes in
+    an otherwise connected graph always end up as singleton communities,
+    keeping them addressable downstream.  Level 0 and the polish run on the
+    int rows and strengths; Q is computed from the same rows and strengths.
     """
-    nodes, adj0, k0 = graph.local_form()
-    if graph.total_weight == 0:
-        assignment = {v: i for i, v in enumerate(nodes)}
-        return Partition(graph.frame_index, assignment, 0.0, degenerate=True)
-    adj, k = adj0, k0
-    m2 = 2.0 * graph.total_weight
+    if total_weight == 0:
+        return list(range(len(rows))), 0.0, True
+    adj, k = rows, strengths
+    m2 = 2.0 * total_weight
     rng = random.Random(seed)
-    chain = list(range(len(nodes)))
+    chain = list(range(len(rows)))
     while True:
         com = list(range(len(adj)))
         order = list(range(len(adj)))
@@ -250,12 +253,26 @@ def detect(graph: FrameGraph, seed: int = 42) -> Partition:
         adj, k = _collapse(adj, k, com)
     # polish on the original graph: the collapsed phases alone do not make
     # the partition locally optimal under single-node moves
-    _move_nodes(adj0, k0, chain, range(len(nodes)), m2)
+    _move_nodes(rows, strengths, chain, range(len(rows)), m2)
     # renumber by first appearance in node order, i.e. by smallest member id
     renumber: dict[int, int] = {}
     labels = [renumber.setdefault(c, len(renumber)) for c in chain]
-    q = _modularity(adj0, k0, labels, m2)
-    return Partition(graph.frame_index, dict(zip(nodes, labels)), q)
+    return labels, _modularity(rows, strengths, labels, m2), False
+
+
+def detect(graph: FrameGraph, seed: int = 42) -> Partition:
+    """Detect communities in one frame graph with :func:`detect_local`.
+
+    ``FrameGraph.restrict`` hands the graph's local form over ready-made.
+    """
+    nodes, rows, strengths = graph.local_form()
+    labels, q, degenerate = detect_local(rows, strengths, graph.total_weight, seed)
+    return Partition(graph.frame_index, dict(zip(nodes, labels)), q, degenerate)
+
+
+def frame_seed(seed: int, frame_index: int) -> int:
+    """The detection seed of one frame, derived from a run's seed."""
+    return seed + 1000003 * (frame_index + 1)
 
 
 @dataclass
@@ -273,22 +290,28 @@ class FramePartitionSet:
     degenerate_frames: list[int] = field(default_factory=list)
 
 
-def detect_all(frames: Iterable[FrameGraph], seed: int = 42) -> FramePartitionSet:
+def detect_all(
+    frames: Iterable[FrameGraph | Partition], seed: int = 42
+) -> FramePartitionSet:
     """Run detection over a frame sequence with per-frame derived seeds.
 
-    ``frames`` is read once, so a generator of restrictions holds one
-    restricted graph at a time.
+    ``frames`` is read once and in order, so a generator of restrictions
+    holds one restricted graph at a time.  It may also yield partitions
+    already detected elsewhere, such as in a worker process; those are
+    taken as they are.
     """
     partitions = []
     analyzed = []
     degenerate = []
     for frame in frames:
-        part = detect(frame, seed=seed + 1000003 * (frame.frame_index + 1))
+        part = frame
+        if not isinstance(frame, Partition):
+            part = detect(frame, seed=frame_seed(seed, frame.frame_index))
         partitions.append(part)
         if part.assignment:
             analyzed.append(part.q)
             if part.degenerate:
-                degenerate.append(frame.frame_index)
+                degenerate.append(part.frame_index)
     return FramePartitionSet(partitions, mean(analyzed), degenerate)
 
 
