@@ -65,6 +65,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         result = report_mod.run_pipeline(config)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
+    except RuntimeError as exc:
+        # imported only here: with multiprocessing it takes about 35 ms
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        raise CommandError(
+            "a tier-two worker process died (killed for memory?); "
+            "`taskset -c 0 twotier analyze ...` runs the analysis in one process"
+        ) from None
     print(f"analysis bundle written to {result.out_dir}")
     print(
         "members={} links={} frames={} elapsed={:.1f}s".format(

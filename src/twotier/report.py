@@ -301,19 +301,27 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     The stages follow the paper: acquire the log, build the frame networks,
     tier one on the full network (influence, coverage, member statistics),
     then per backbone percentage X the split and, per activity-type filter,
-    tier two (communities, evolution, abstraction).
+    tier two (communities, evolution, abstraction).  Tier two's detections
+    need only the networks and the splits, so they start as soon as the
+    splits are known, before the rest of tier one.
     """
     config.validate()
     started = time.perf_counter()
     bundle = _Bundle(Path(config.out_dir))
     bundle.remove_previous()
     records, spec, source = _acquire(config, bundle)
-    networks, network_block = _build_networks(records, spec, config, bundle)
-    table, member_stats, tier_one = _tier_one(records, networks["full"], config, bundle)
-    summary = {"source": source, "network": network_block, **tier_one, "x": {}}
-    result = PipelineResult(bundle.root, summary, {}, networks["full"])
+    networks, network_block = _build_networks(records, spec, config)
+    agg = aggregate(networks["full"])
+    table = kshell.dynamic_influence(networks["full"], agg)
     splits = {x: kshell.select_backbone(table, x) for x in config.x_values}
+    # the workers start here and detect while tier one's rest runs below
     with _detections(config, networks, splits) as detected:
+        _write_networks(networks, bundle)
+        member_stats, tier_one = _tier_one(
+            records, networks["full"], agg, table, config, bundle
+        )
+        summary = {"source": source, "network": network_block, **tier_one, "x": {}}
+        result = PipelineResult(bundle.root, summary, {}, networks["full"])
         for x, split in splits.items():
             xdir = f"x{x}"
             profiles, x_block = _profile_backbone(split, member_stats, bundle, xdir)
@@ -353,17 +361,14 @@ def _acquire(config: PipelineConfig, bundle: _Bundle):
     return records, spec, source
 
 
-def _build_networks(records, spec, config: PipelineConfig, bundle: _Bundle):
+def _build_networks(records, spec, config: PipelineConfig):
     """Frame networks by filter ("full" first, then the typed ones) and the
-    summary's network block; each network's edges go under ``network/``."""
+    summary's network block."""
     links = expand_teams(records)
     participations = team_participations(records)
     networks = {"full": build_frames(links, spec, participations)}
     for name in config.filters[1:]:
         networks[name] = typed_network(links, spec, name, participations)
-    for name, net in networks.items():
-        suffix = "" if name == "full" else f"_{name}"
-        write_edge_csv(bundle.path(f"network/frames{suffix}.csv"), net.frames)
     activity_ids = {"A": set(), "B": set()}
     for record in records:
         activity_ids[record.activity_type.value].add(record.activity_id)
@@ -379,15 +384,22 @@ def _build_networks(records, spec, config: PipelineConfig, bundle: _Bundle):
     return networks, block
 
 
-def _tier_one(records, network: DynamicNetwork, config: PipelineConfig, bundle: _Bundle):
-    """Tier one on the full network: dynamic influence, the aggregate
+def _write_networks(networks, bundle: _Bundle) -> None:
+    """Each filter network's frame edges, under ``network/``."""
+    for name, net in networks.items():
+        suffix = "" if name == "full" else f"_{name}"
+        write_edge_csv(bundle.path(f"network/frames{suffix}.csv"), net.frames)
+
+
+def _tier_one(records, network: DynamicNetwork, agg, table: kshell.InfluenceTable,
+              config: PipelineConfig, bundle: _Bundle):
+    """The rest of tier one on the full network, once its aggregate graph
+    ``agg`` and dynamic influence ``table`` are known: the aggregate
     graph's shells, both coverage curves and per-member statistics.
 
-    Returns the influence table, the member statistics and the summary's
-    ``shell_statistics`` and ``coverage`` blocks.
+    Returns the member statistics and the summary's ``shell_statistics``
+    and ``coverage`` blocks.
     """
-    agg = aggregate(network)
-    table = kshell.dynamic_influence(network, agg)
     agg_shells = kshell.wks_decompose(agg)
     curves = {
         "dwks": kshell.coverage_curve(network.frames, table.ranking(), config.curve_x),
@@ -410,7 +422,7 @@ def _tier_one(records, network: DynamicNetwork, config: PipelineConfig, bundle: 
             for method, points in curves.items()
         },
     }
-    return table, member_stats, blocks
+    return member_stats, blocks
 
 
 def _profile_backbone(split, member_stats, bundle: _Bundle, xdir: str):
@@ -432,25 +444,27 @@ def _profile_backbone(split, member_stats, bundle: _Bundle, xdir: str):
 _SIDES = (("bsn", "backbone", 0), ("gsn", "general", 500009))
 
 #: Fewest edges, summed over the full network's frames, for which tier two's
-#: detections run on worker processes.  Median wall time of 6 alternating
+#: detections run on worker processes.  Median wall time of 12 alternating
 #: runs per input on a shared 2-vCPU host, in-process vs a pool of 2:
-#: 0.274 vs 0.285 s at 2,136 edges, 0.530 vs 0.524 s at 4,235, 0.684 vs
-#: 0.632 s at 5,698, 1.042 vs 0.991 s at 8,507 and 1.378 vs 1.233 s at 11,846.
-_POOL_MIN_EDGES = 5_000
+#: 0.155 vs 0.175 s at 1,023 edges, 0.252 vs 0.267 s at 2,136, 0.386 vs
+#: 0.370 s at 3,248, 0.471 vs 0.436 s at 4,235, 0.780 vs 0.643 s at 6,341
+#: and 1.001 vs 0.868 s at 8,507.
+_POOL_MIN_EDGES = 3_000
 
 
-def pool_workers(cpus: int, fork: bool, tasks: int, edges: int) -> int:
+def pool_workers(cpus: int, fork: bool, items: int, edges: int) -> int:
     """How many worker processes run tier two's detections; 0 runs them in
     this process.
 
-    One worker per usable CPU, and never more than there are tasks.  With
-    one CPU there is nothing to overlap; unless this process can ``fork``,
-    the workers could not inherit the frames; below ``_POOL_MIN_EDGES``
-    starting the pool costs more than it saves.
+    ``items`` counts the work items handed to the pool, one per (X,
+    filter, side).  One worker per usable CPU, and never more than there
+    are work items.  With one CPU there is nothing to overlap; unless this
+    process can ``fork``, the workers could not inherit the frames; below
+    ``_POOL_MIN_EDGES`` starting the pool costs more than it saves.
     """
     if cpus <= 1 or not fork or edges < _POOL_MIN_EDGES:
         return 0
-    return min(cpus, tasks)
+    return min(cpus, items)
 
 
 class _Detector:
@@ -511,19 +525,25 @@ def _detections(config: PipelineConfig, networks, splits) -> Iterator:
     """An iterator over the results of every tier-two detection task, in
     task order.
 
-    With :func:`pool_workers` above 0, the tasks run on a ``fork`` pool that
-    inherits the frame networks and the splits, so only task keys and
-    results cross processes; the workers run ahead while this process
-    classifies, abstracts and writes.  Otherwise each task runs here when
-    its result is read.  A worker's exception is raised when its result is
-    read; a worker that dies raises ``BrokenProcessPool``.
+    With :func:`pool_workers` above 0, the tasks go to a ``fork`` pool that
+    inherits the frame networks and the splits, one work item per (X,
+    filter, side): the tasks of one ``community.detect_all`` input.  Only
+    task keys and results cross processes, and the workers run ahead while
+    this process finishes tier one, classifies, abstracts and writes.
+    Otherwise each task runs here when its result is read.  A worker's
+    exception is raised when its result is read; a worker that dies
+    raises ``BrokenProcessPool``.
     """
     detector = _Detector(config, networks, splits)
     edges = sum(f.edge_count for f in networks["full"].frames)
+    # every filter network has the full network's frames, so a work item
+    # of this many tasks is exactly one (X, filter, side)
+    frames = networks["full"].frame_count
+    items = len(detector.tasks) // max(frames, 1)
     # a fork copies no thread but every lock, so a lock that another thread
     # of the caller holds would stay locked in the workers
     fork = hasattr(os, "fork") and threading.active_count() == 1
-    workers = pool_workers(_usable_cpus(), fork, len(detector.tasks), edges)
+    workers = pool_workers(_usable_cpus(), fork, items, edges)
     if not workers:
         yield map(detector, detector.tasks)
         return
@@ -538,7 +558,7 @@ def _detections(config: PipelineConfig, networks, splits) -> Iterator:
         initargs=(detector,),
     )
     try:
-        yield pool.map(_detect_in_worker, detector.tasks)
+        yield pool.map(_detect_in_worker, detector.tasks, chunksize=frames)
     finally:
         # after an error, the tasks not yet started are dropped
         pool.shutdown(cancel_futures=True)

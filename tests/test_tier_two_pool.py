@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from twotier import community, report
+from twotier import cli, community, report
 from twotier.report import PipelineConfig, pool_workers, run_pipeline
 
 needs_fork = pytest.mark.skipif(
@@ -96,22 +96,81 @@ def test_worker_failure_is_raised_and_pool_reaped(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@needs_fork
-def test_dead_worker_fails_the_run(tmp_path, monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
-
-    chosen = _force_pool(monkeypatch)
+def _kill_workers(monkeypatch):
+    """Make every worker exit hard in its first detection, as if the kernel
+    had killed it; patched before the pool forks."""
     parent = os.getpid()
 
     def killed(*args):
         if os.getpid() == parent:
             raise AssertionError("ran in the parent")
-        os._exit(1)  # as if the kernel had killed the worker
+        os._exit(1)
 
     monkeypatch.setattr(community, "_move_nodes", killed)
+
+
+@needs_fork
+def test_dead_worker_fails_the_run(tmp_path, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    chosen = _force_pool(monkeypatch)
+    _kill_workers(monkeypatch)
     with pytest.raises(BrokenProcessPool):
         run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
     assert chosen == [2]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_dead_worker_is_a_command_error(tmp_path, monkeypatch, capsys):
+    chosen = _force_pool(monkeypatch)
+    _kill_workers(monkeypatch)
+    code = cli.main(["analyze", "--preset", "small", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a tier-two worker process died")
+    assert "Traceback" not in err
+    assert chosen == [2]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_one_work_item_per_x_filter_and_side(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    config = dict(preset="small", x_values=(5, 10))
+    here, pooled = tmp_path / "here", tmp_path / "pooled"
+    run_pipeline(PipelineConfig(out_dir=str(here), **config))
+    chosen = _force_pool(monkeypatch)
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def counted(self, *args, **kwargs):
+        submitted.append(args)
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
+    result = run_pipeline(PipelineConfig(out_dir=str(pooled), **config))
+    assert chosen == [2]
+    assert result.network.frame_count > 1
+    assert len(submitted) == 2 * 3 * 2  # X values, filters, sides
+    assert _files(pooled) == _files(here)
+
+
+@needs_fork
+def test_workers_start_before_the_rest_of_tier_one(tmp_path, monkeypatch):
+    _force_pool(monkeypatch)
+    children = []
+    closeness_all = report.closeness_all
+
+    def watched(*args):
+        children.append(len(multiprocessing.active_children()))
+        return closeness_all(*args)
+
+    monkeypatch.setattr(report, "closeness_all", watched)
+    run_pipeline(PipelineConfig(preset="small", x_values=(10,), curve_x=(10,),
+                                out_dir=str(tmp_path)))
+    assert len(children) == 1 and children[0] > 0
     assert multiprocessing.active_children() == []
 
 
