@@ -72,7 +72,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if not isinstance(exc, BrokenProcessPool):
             raise
         raise CommandError(
-            "a tier-two worker process died (killed for memory?); "
+            "an analysis worker process died (killed for memory?); "
             "`taskset -c 0 twotier analyze ...` runs the analysis in one process"
         ) from None
     print(f"analysis bundle written to {result.out_dir}")

@@ -4,8 +4,8 @@
 stack of snapshots plus the all-time member registry.  Graphs are immutable
 by convention: no public mutator exists and every algorithm builds new
 instances, so per-frame work can run concurrently without locking.  Tier
-two's restrictions and community detections run on forked worker processes,
-and the runs stay bit-reproducible: each detection's seed depends only on
+one's closeness and tier two's restrictions and community detections run on
+forked worker processes, and the runs stay bit-reproducible: each detection's seed depends only on
 the configured seed, the side of the split and the frame index, and the
 results are read back in task order.
 """

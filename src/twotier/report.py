@@ -17,6 +17,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import timedelta
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -301,9 +302,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     The stages follow the paper: acquire the log, build the frame networks,
     tier one on the full network (influence, coverage, member statistics),
     then per backbone percentage X the split and, per activity-type filter,
-    tier two (communities, evolution, abstraction).  Tier two's detections
-    need only the networks and the splits, so they start as soon as the
-    splits are known, before the rest of tier one.
+    tier two (communities, evolution, abstraction).  Everything after the
+    splits runs through :func:`_worker_pool`: tier one's closeness,
+    aggregate shells and coverage curves go first, then tier two's
+    detections, then each (X, filter)'s frame metrics once its abstract
+    graphs exist.  The metric rows are read last; each block's other
+    results are final as soon as its abstract graphs are built.
     """
     config.validate()
     started = time.perf_counter()
@@ -314,26 +318,33 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     agg = aggregate(networks["full"])
     table = kshell.dynamic_influence(networks["full"], agg)
     splits = {x: kshell.select_backbone(table, x) for x in config.x_values}
-    # the workers start here and detect while tier one's rest runs below
-    with _detections(config, networks, splits) as detected:
+    with _worker_pool(config, networks, splits, agg, table) as work:
+        # a pool starts work in submission order, so the kernels whose
+        # results are read first start before the detections
+        kernels = [work.submit(step) for step in _TIER_ONE]
+        detected = work.detections()
         _write_networks(networks, bundle)
         member_stats, tier_one = _tier_one(
-            records, networks["full"], agg, table, config, bundle
+            records, table, *(read() for read in kernels), bundle
         )
         summary = {"source": source, "network": network_block, **tier_one, "x": {}}
         result = PipelineResult(bundle.root, summary, {}, networks["full"])
+        pending = []
         for x, split in splits.items():
             xdir = f"x{x}"
             profiles, x_block = _profile_backbone(split, member_stats, bundle, xdir)
             for name, fnet in networks.items():
                 fdir = f"{xdir}/{name}"
-                block, rows, totals = _analyze_filter(
-                    fnet, split, detected, config, bundle, fdir
+                block, rows = _analyze_filter(
+                    fnet, split, detected, work, config, bundle, fdir
                 )
                 x_block["filters"][name] = block
-                result.metrics[(x, name)], result.edge_totals[(x, name)] = rows, totals
+                result.edge_totals[(x, name)] = block["tier2"]["edge_weight_totals"]
+                pending.append(((x, name), block, rows, fdir))
             result.splits[x], result.profiles[x] = split, profiles
             summary["x"][str(x)] = x_block
+        for key, block, rows, fdir in pending:
+            result.metrics[key] = _write_metrics(rows(), block, bundle, fdir)
     result.manifest = _write_index(bundle, config, summary)
     result.elapsed_seconds = time.perf_counter() - started
     return result
@@ -391,31 +402,25 @@ def _write_networks(networks, bundle: _Bundle) -> None:
         write_edge_csv(bundle.path(f"network/frames{suffix}.csv"), net.frames)
 
 
-def _tier_one(records, network: DynamicNetwork, agg, table: kshell.InfluenceTable,
-              config: PipelineConfig, bundle: _Bundle):
-    """The rest of tier one on the full network, once its aggregate graph
-    ``agg`` and dynamic influence ``table`` are known: the aggregate
-    graph's shells, both coverage curves and per-member statistics.
+def _tier_one(records, table: kshell.InfluenceTable, closeness_values,
+              aggregate_shells, dwks_curve, bundle: _Bundle):
+    """The rest of tier one on the full network, once its kernels' results
+    are in (see :class:`_Work`): per-member statistics, ``influence.csv``
+    and ``coverage.csv``.
 
     Returns the member statistics and the summary's ``shell_statistics``
     and ``coverage`` blocks.
     """
-    agg_shells = kshell.wks_decompose(agg)
-    curves = {
-        "dwks": kshell.coverage_curve(network.frames, table.ranking(), config.curve_x),
-        "wks_aggregate": kshell.coverage_curve(
-            [agg], kshell.aggregate_ranking(agg, agg_shells), config.curve_x
-        ),
-    }
-    member_stats = _member_stats(records, table, closeness_all(agg))
+    shell_counts, aggregate_curve = aggregate_shells
+    curves = {"dwks": dwks_curve, "wks_aggregate": aggregate_curve}
+    member_stats = _member_stats(records, table, closeness_values)
     kshell.write_influence_csv(bundle.path("network/influence.csv"), table)
     kshell.write_coverage_csv(bundle.path("network/coverage.csv"), curves)
     blocks = {
         "shell_statistics": {
             "dynamic": table.shell_statistics(),
             "dynamic_max_total": max(table.total.values(), default=0),
-            "aggregate_distinct_shells": len(set(agg_shells.values())),
-            "aggregate_max_shell": max(agg_shells.values(), default=0),
+            **shell_counts,
         },
         "coverage": {
             method: {str(x): value for x, value in points}
@@ -443,9 +448,10 @@ def _profile_backbone(split, member_stats, bundle: _Bundle, xdir: str):
 #: ``BackboneSplit`` and the offset of its detection seed from the run's.
 _SIDES = (("bsn", "backbone", 0), ("gsn", "general", 500009))
 
-#: Fewest edges, summed over the full network's frames, for which tier two's
-#: detections run on worker processes.  Median wall time of 12 alternating
-#: runs per input on a shared 2-vCPU host, in-process vs a pool of 2:
+#: Fewest edges, summed over the full network's frames, for which the steps
+#: after the backbone split run on worker processes.  Median wall time of
+#: 12 alternating runs per input on a shared 2-vCPU host, in-process vs a
+#: pool of 2 running tier two's detections:
 #: 0.155 vs 0.175 s at 1,023 edges, 0.252 vs 0.267 s at 2,136, 0.386 vs
 #: 0.370 s at 3,248, 0.471 vs 0.436 s at 4,235, 0.780 vs 0.643 s at 6,341
 #: and 1.001 vs 0.868 s at 8,507.
@@ -453,35 +459,45 @@ _POOL_MIN_EDGES = 3_000
 
 
 def pool_workers(cpus: int, fork: bool, items: int, edges: int) -> int:
-    """How many worker processes run tier two's detections; 0 runs them in
-    this process.
+    """How many worker processes run the analysis steps after the backbone
+    split; 0 runs them in this process.
 
-    ``items`` counts the work items handed to the pool, one per (X,
-    filter, side).  One worker per usable CPU, and never more than there
-    are work items.  With one CPU there is nothing to overlap; unless this
-    process can ``fork``, the workers could not inherit the frames; below
-    ``_POOL_MIN_EDGES`` starting the pool costs more than it saves.
+    ``items`` counts the work items handed to the pool (see
+    :func:`_worker_pool`).  One worker per usable CPU, and never more than
+    there are work items.  With one CPU there is nothing to overlap; unless
+    this process can ``fork``, the workers could not inherit the frames;
+    below ``_POOL_MIN_EDGES`` starting the pool costs more than it saves.
     """
     if cpus <= 1 or not fork or edges < _POOL_MIN_EDGES:
         return 0
     return min(cpus, items)
 
 
-class _Detector:
-    """Tier two's community detections: one task per (X, filter, side,
-    frame), in the order ``_analyze_filter`` reads them.
+#: Tier one's kernels, the :class:`_Work` steps submitted ahead of the
+#: detections.
+_TIER_ONE = ("closeness", "aggregate_shells", "dwks_curve")
 
-    A task restricts one frame to one side's members and runs
-    :func:`community.detect_local` on it with the frame's seed, returning
-    only labels, Q and the degenerate flag.  The seeds depend only on the
-    run's seed, the side and the frame index, so a task gives the same
-    result in any process.
+
+class _Work:
+    """The analysis steps that may run on worker processes, and what they
+    read: the frame networks, the splits, the aggregate graph and the
+    influence table.
+
+    A worker inherits this object at fork, so only step names, task keys,
+    abstract graphs and small results cross processes.  Every step gives
+    the same result in any process: a detection's seed depends only on the
+    run's seed, the side and the frame index.
     """
 
-    def __init__(self, config: PipelineConfig, networks, splits) -> None:
+    def __init__(self, config: PipelineConfig, networks, splits, agg, table) -> None:
         self.seed = config.seed
+        self.curve_x = config.curve_x
         self.networks = networks
         self.splits = splits
+        self.agg = agg
+        self.table = table
+        #: detection tasks, one per (X, filter, side, frame), in the order
+        #: ``_analyze_filter`` reads them
         self.tasks = [
             (x, name, side, t)
             for x in splits
@@ -489,8 +505,34 @@ class _Detector:
             for side in range(len(_SIDES))
             for t in range(fnet.frame_count)
         ]
+        self.pool = None  # set by _worker_pool when the steps run on workers
 
-    def __call__(self, task) -> tuple[list[int], float, bool]:
+    def submit(self, step: str, *args):
+        """Start the method named ``step`` on ``args``; returns a call that
+        gives its result.  Without a pool the step runs here, at once, so
+        nothing it reads outlives the call."""
+        if self.pool is None:
+            value = getattr(self, step)(*args)
+            return lambda: value
+        return self.pool.submit(_in_worker, step, *args).result
+
+    def detections(self) -> Iterator:
+        """The results of every detection task, in task order.
+
+        On the pool, one work item per (X, filter, side): every filter
+        network has the full network's frames, so a chunk of that many
+        tasks is exactly one ``community.detect_all`` input.  Without a
+        pool, each task runs when its result is read.
+        """
+        if self.pool is None:
+            return map(self.detect, self.tasks)
+        frames = self.networks["full"].frame_count
+        return self.pool.map(partial(_in_worker, "detect"), self.tasks, chunksize=frames)
+
+    def detect(self, task) -> tuple[list[int], float, bool]:
+        """Restrict one frame to one side's members and run
+        :func:`community.detect_local` on it with the frame's seed; only
+        labels, Q and the degenerate flag are returned."""
         x, name, side, t = task
         _name, field_name, offset = _SIDES[side]
         frame = self.networks[name].frames[t]
@@ -499,18 +541,39 @@ class _Detector:
         seed = community.frame_seed(self.seed + offset, frame.frame_index)
         return community.detect_local(rows, strengths, sub.total_weight, seed)
 
+    def closeness(self) -> dict[str, float]:
+        return closeness_all(self.agg)
 
-#: The detector a worker process inherited from the parent at fork.
-_worker_detector: _Detector | None = None
+    def aggregate_shells(self):
+        """The summary's aggregate shell counts and the frame-free coverage
+        curve, both from the aggregate graph's shells."""
+        shells = kshell.wks_decompose(self.agg)
+        counts = {
+            "aggregate_distinct_shells": len(set(shells.values())),
+            "aggregate_max_shell": max(shells.values(), default=0),
+        }
+        ranked = kshell.aggregate_ranking(self.agg, shells)
+        return counts, kshell.coverage_curve([self.agg], ranked, self.curve_x)
+
+    def dwks_curve(self) -> list[tuple[float, float]]:
+        frames = self.networks["full"].frames
+        return kshell.coverage_curve(frames, self.table.ranking(), self.curve_x)
+
+    def frame_rows(self, agraphs) -> list[dict]:
+        return [abstraction.frame_metrics(g) for g in agraphs]
 
 
-def _install(detector: _Detector) -> None:
-    global _worker_detector
-    _worker_detector = detector
+#: The work a worker process inherited from the parent at fork.
+_inherited: _Work | None = None
 
 
-def _detect_in_worker(task):
-    return _worker_detector(task)
+def _install(work: _Work) -> None:
+    global _inherited
+    _inherited = work
+
+
+def _in_worker(step: str, *args):
+    return getattr(_inherited, step)(*args)
 
 
 def _usable_cpus() -> int:
@@ -521,47 +584,44 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _detections(config: PipelineConfig, networks, splits) -> Iterator:
-    """An iterator over the results of every tier-two detection task, in
-    task order.
+def _worker_pool(config: PipelineConfig, networks, splits, agg, table) -> Iterator[_Work]:
+    """The analysis steps after the backbone split, as a :class:`_Work`
+    that runs them on worker processes or in this process.
 
-    With :func:`pool_workers` above 0, the tasks go to a ``fork`` pool that
-    inherits the frame networks and the splits, one work item per (X,
-    filter, side): the tasks of one ``community.detect_all`` input.  Only
-    task keys and results cross processes, and the workers run ahead while
-    this process finishes tier one, classifies, abstracts and writes.
-    Otherwise each task runs here when its result is read.  A worker's
-    exception is raised when its result is read; a worker that dies
-    raises ``BrokenProcessPool``.
+    With :func:`pool_workers` above 0, the steps go to a ``fork`` pool
+    whose workers inherit the work; the pool takes items in submission
+    order, and the workers run ahead while this process writes, classifies
+    and abstracts.  A work item is one tier-one kernel, the detections of
+    one (X, filter, side), or the frame metrics of one (X, filter).
+    Otherwise each step runs here.  A worker's exception is raised when its
+    result is read; a worker that dies raises ``BrokenProcessPool``.
     """
-    detector = _Detector(config, networks, splits)
+    work = _Work(config, networks, splits, agg, table)
     edges = sum(f.edge_count for f in networks["full"].frames)
-    # every filter network has the full network's frames, so a work item
-    # of this many tasks is exactly one (X, filter, side)
-    frames = networks["full"].frame_count
-    items = len(detector.tasks) // max(frames, 1)
+    blocks = len(splits) * len(networks)
+    items = len(_TIER_ONE) + blocks * len(_SIDES) + blocks
     # a fork copies no thread but every lock, so a lock that another thread
     # of the caller holds would stay locked in the workers
     fork = hasattr(os, "fork") and threading.active_count() == 1
     workers = pool_workers(_usable_cpus(), fork, items, edges)
     if not workers:
-        yield map(detector, detector.tasks)
+        yield work
         return
     # imported only for a pool: the two imports take about 35 ms
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(
+    work.pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_install,
-        initargs=(detector,),
+        initargs=(work,),
     )
     try:
-        yield pool.map(_detect_in_worker, detector.tasks, chunksize=frames)
+        yield work
     finally:
-        # after an error, the tasks not yet started are dropped
-        pool.shutdown(cancel_futures=True)
+        # after an error, the items not yet started are dropped
+        work.pool.shutdown(cancel_futures=True)
 
 
 def _partitions(frames, members, detected):
@@ -577,13 +637,16 @@ def _partitions(frames, members, detected):
 
 
 def _analyze_filter(
-    fnet, split, detected, config: PipelineConfig, bundle: _Bundle, fdir: str
+    fnet, split, detected, work: _Work, config: PipelineConfig, bundle: _Bundle,
+    fdir: str,
 ):
     """Tier two for one (X, filter) pair: communities of each side, read
-    from ``detected``, their evolution, the community-level abstraction and
-    its metrics.
+    from ``detected``, their evolution, the community-level abstraction
+    and, submitted to ``work``, its frame metrics.
 
-    Returns the pair's summary block, metric rows and edge weight by class.
+    Returns the pair's summary block, whose ``tier2`` entry lacks the
+    metric means until :func:`_write_metrics` adds them, and the call that
+    gives the metric rows.  The abstract graphs are dropped on return.
     """
     block: dict = {}
     partitions, events = {}, {}
@@ -612,8 +675,7 @@ def _analyze_filter(
         for frame, bsn, gsn in zip(fnet.frames, partitions["bsn"], partitions["gsn"])
     ]
     abstraction.write_abstract_csv(bundle.path(f"{fdir}/abstract.csv"), agraphs)
-    rows = [abstraction.frame_metrics(g) for g in agraphs]
-    abstraction.write_metrics_csv(bundle.path(f"{fdir}/metrics.csv"), rows)
+    rows = work.submit("frame_rows", agraphs)
     totals = {"BBE": 0, "GGE": 0, "BGE": 0}
     for agraph in agraphs:
         for cls, weight in agraph.class_edge_weights().items():
@@ -628,12 +690,23 @@ def _analyze_filter(
             else None
         ),
         "frames_with_edges": sum(1 for g in agraphs if g.edge_count),
-        "mean_density_bc": mean(r["density_bc"] for r in rows),
-        "mean_density_gc": mean(r["density_gc"] for r in rows),
-        "mean_betweenness_bc": mean(r["mean_betweenness_bc"] for r in rows),
-        "mean_betweenness_gc": mean(r["mean_betweenness_gc"] for r in rows),
     }
-    return block, rows, totals
+    return block, rows
+
+
+def _write_metrics(rows, block: dict, bundle: _Bundle, fdir: str) -> list[dict]:
+    """Write one (X, filter) pair's frame metric rows and add their means
+    to the pair's ``tier2`` block; returns the rows."""
+    abstraction.write_metrics_csv(bundle.path(f"{fdir}/metrics.csv"), rows)
+    block["tier2"].update(
+        {
+            "mean_density_bc": mean(r["density_bc"] for r in rows),
+            "mean_density_gc": mean(r["density_gc"] for r in rows),
+            "mean_betweenness_bc": mean(r["mean_betweenness_bc"] for r in rows),
+            "mean_betweenness_gc": mean(r["mean_betweenness_gc"] for r in rows),
+        }
+    )
+    return rows
 
 
 def _write_index(bundle: _Bundle, config: PipelineConfig, summary: dict) -> dict:

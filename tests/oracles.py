@@ -105,6 +105,32 @@ def bfs_closeness(adj: dict, node, total_nodes: int) -> float:
     return (reached / (total_nodes - 1)) * (reached / s)
 
 
+def brute_coverage(frames, seeds) -> float:
+    """Mean, over the frames holding at least one node, of the fraction of
+    a frame's nodes that are a seed or adjacent to one.
+
+    The covered set is built seed by seed; the fractions are summed left to
+    right, as ``twotier.graph.mean`` does, so results compare exactly.
+    """
+    seeds = list(seeds)
+    values = []
+    for frame in frames:
+        if len(frame) == 0:
+            continue
+        covered = set()
+        for seed in seeds:
+            if seed in frame:
+                covered.add(seed)
+                covered.update(frame.neighbors(seed))
+        values.append(len(covered) / len(frame))
+    if not values:
+        raise ValueError("coverage of a network with no populated frames is undefined")
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def matrix_modularity(adj: dict, assignment: dict) -> float:
     """Modularity from the dense adjacency matrix, summed over ordered pairs."""
     nodes = sorted(adj)

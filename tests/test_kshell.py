@@ -7,7 +7,6 @@ from twotier.graph import DynamicNetwork, FrameGraph, aggregate
 from twotier.kshell import (
     aggregate_ranking,
     backbone_size,
-    coverage,
     coverage_curve,
     dynamic_influence,
     select_backbone,
@@ -17,7 +16,7 @@ from twotier.kshell import (
     write_influence_csv,
 )
 
-from .oracles import naive_wks, random_weighted_adj
+from .oracles import brute_coverage, naive_wks, random_weighted_adj
 
 
 def _network(frame_edges, members=None):
@@ -128,9 +127,35 @@ def test_coverage_modes():
     # a network scores the average of its per-frame fractions
     f0 = 2 / 4
     f1 = 2 / 4
-    assert coverage(net.frames, ["a"]) == pytest.approx((f0 + f1) / 2)
+    assert brute_coverage(net.frames, ["a"]) == pytest.approx((f0 + f1) / 2)
     g = net.frames[1]
-    assert coverage([g], ["b"]) == pytest.approx(3 / 4)
+    assert brute_coverage([g], ["b"]) == pytest.approx(3 / 4)
+    assert coverage_curve(net.frames, ["a", "c"], [50]) == [(50, (f0 + f1) / 2)]
+    assert coverage_curve([g], ["b", "d", "a", "c"], [25]) == [(25, 3 / 4)]
+
+
+def test_coverage_curve_matches_brute_force_oracle():
+    rng = random.Random(2023)
+    xs = [1, 2, 5, 10, 12.5, 20, 33, 50, 75, 100]
+    for _ in range(40):
+        frames = []
+        for t in range(rng.randint(1, 4)):
+            adj = random_weighted_adj(rng, max_nodes=25, max_edges=40)
+            # some frames are empty, and are skipped like the oracle skips them
+            frames.append(FrameGraph(t, {} if rng.random() < 0.2 else adj))
+        # rankings may miss frame nodes and hold members of no frame
+        pool = [f"n{i:02d}" for i in range(30)]
+        ranked = rng.sample(pool, rng.randint(1, len(pool)))
+        if not any(len(f) for f in frames):
+            with pytest.raises(ValueError, match="no populated frames"):
+                coverage_curve(frames, ranked, xs)
+            assert coverage_curve(frames, ranked, []) == []
+            continue
+        want = [
+            (x, brute_coverage(frames, ranked[: backbone_size(len(ranked), x)]))
+            for x in xs
+        ]
+        assert coverage_curve(frames, ranked, xs) == want
 
 
 def test_coverage_curves_are_monotone_and_comparable():

@@ -1,5 +1,6 @@
-"""Tier two's detections on worker processes: the same bundle, a bounded
-worker count, and failures that reach the caller."""
+"""The analysis on worker processes (tier one's kernels, tier two's
+detections and frame metrics): the same bundle, a bounded worker count,
+and failures that reach the caller."""
 
 import gc
 import multiprocessing
@@ -24,7 +25,7 @@ def _files(root):
 
 
 def _force_pool(monkeypatch):
-    """Run tier two on a pool of 2 whatever the input size and CPU count,
+    """Run the analysis on a pool of 2 whatever the input size and CPU count,
     and record the worker counts the pipeline chose."""
     monkeypatch.setattr(report, "_POOL_MIN_EDGES", 0)
     monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
@@ -128,7 +129,7 @@ def test_dead_worker_is_a_command_error(tmp_path, monkeypatch, capsys):
     code = cli.main(["analyze", "--preset", "small", "--out-dir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: a tier-two worker process died")
+    assert err.startswith("error: an analysis worker process died")
     assert "Traceback" not in err
     assert chosen == [2]
     assert multiprocessing.active_children() == []
@@ -153,24 +154,29 @@ def test_one_work_item_per_x_filter_and_side(tmp_path, monkeypatch):
     result = run_pipeline(PipelineConfig(out_dir=str(pooled), **config))
     assert chosen == [2]
     assert result.network.frame_count > 1
-    assert len(submitted) == 2 * 3 * 2  # X values, filters, sides
+    # detections per (X, filter, side), tier one's three kernels, and frame
+    # metrics per (X, filter); none of them is per frame
+    assert len(submitted) == 2 * 3 * 2 + 3 + 2 * 3
     assert _files(pooled) == _files(here)
 
 
 @needs_fork
 def test_workers_start_before_the_rest_of_tier_one(tmp_path, monkeypatch):
     _force_pool(monkeypatch)
-    children = []
+    pids = tmp_path / "closeness_pids"
     closeness_all = report.closeness_all
 
     def watched(*args):
-        children.append(len(multiprocessing.active_children()))
+        with open(pids, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
         return closeness_all(*args)
 
+    # patched before the pool forks, so the workers inherit it
     monkeypatch.setattr(report, "closeness_all", watched)
     run_pipeline(PipelineConfig(preset="small", x_values=(10,), curve_x=(10,),
-                                out_dir=str(tmp_path)))
-    assert len(children) == 1 and children[0] > 0
+                                out_dir=str(tmp_path / "out")))
+    ran_in = [int(line) for line in pids.read_text().split()]
+    assert len(ran_in) == 1 and ran_in[0] != os.getpid()
     assert multiprocessing.active_children() == []
 
 
