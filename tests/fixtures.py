@@ -165,3 +165,38 @@ def planted_partition(
                         edges.append((u, v, 1))
     nodes = [m for block in names for m in block]
     return FrameGraph.from_edges(0, edges, nodes=nodes)
+
+
+def collation_log_records() -> list[TeamRecord]:
+    """A four-month log whose member names sort differently as strings than
+    by number (``m9``/``m10``), by case (``M1``/``m1``) or by letter
+    (``é2``/``z1``), listed in none of those orders.
+
+    Two groups meet every month, one through type A teams and one through
+    type B teams, and a few members bridge them, so every frame has edges,
+    both types occur and the backbone split leaves edges on each side.
+    """
+    start = parse_timestamp("2021-03-01T00:00:00Z")
+    left = ("z1", "m10", "é2", "M1", "m9")
+    right = ("m1", "Zz", "n100", "a", "n20", "É0")
+    records = []
+    for t in range(4):
+        month = add_months(start, t)
+        teams = [
+            (ActivityType.A, left[: 3 + t % 2]),
+            (ActivityType.A, left[2:] + right[:1]),
+            (ActivityType.B, right[t % 3 :]),
+            (ActivityType.B, ("M1", "m1", right[3 + t % 3])),
+            (ActivityType.A, ("m9", "n20") if t % 2 else ("é2",)),
+        ]
+        for i, (kind, members) in enumerate(teams):
+            records.append(
+                TeamRecord(
+                    team_id=f"t{t}{i}",
+                    activity_id=f"act{t}{i % 2}",
+                    activity_type=kind,
+                    timestamp=month + timedelta(days=2 * i + t, hours=i),
+                    members=members,
+                )
+            )
+    return records

@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import json
 import sys
 from datetime import timedelta
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -262,4 +264,42 @@ def test_small_preset_bundle_is_pinned(tmp_path):
     run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
     assert _bundle_digest(tmp_path) == (
         "8b70caf84fd6dbe538f643c466ccb0b3b3661850ed965fd33c1b8264ff6b3432"
+    )
+
+
+def _member_runs(path, key):
+    """A bundle CSV's ``member_id`` column, cut into runs of rows with equal
+    ``key`` (one run when ``key`` is None)."""
+    with open(path, newline="") as handle:
+        rows = csv.DictReader(handle)
+        return [[row["member_id"] for row in run]
+                for _value, run in groupby(rows, lambda row: key and row[key])]
+
+
+def test_bundle_of_names_that_sort_apart_is_pinned(tmp_path, monkeypatch):
+    """A log whose member names sort differently as strings than by number,
+    case or letter: the bundle's bytes are pinned, and every member listing
+    follows ``sorted()`` string order, the order of a graph's nodes."""
+    from twotier.synth import write_log_jsonl
+
+    from .fixtures import collation_log_records
+
+    monkeypatch.chdir(tmp_path)  # the summary and manifest quote both paths
+    write_log_jsonl("log.jsonl", collation_log_records())
+    run_pipeline(PipelineConfig(input="log.jsonl", preset=None, window="1m",
+                                x_values=(20, 50), curve_x=(10, 50), out_dir="out"))
+    out = tmp_path / "out"
+
+    listings = _member_runs(out / "network/influence.csv", None)
+    for x in ("x20", "x50"):
+        listings += _member_runs(out / x / "backbone.csv", "group")
+        for path in sorted((out / x).glob("*/partitions_*.csv")):
+            listings += _member_runs(path, "frame")
+    assert len(listings) > 20
+    for members in listings:
+        assert members == sorted(members)
+    assert listings[0] == ["M1", "Zz", "a", "m1", "m10", "m9", "n100", "n20",
+                           "z1", "É0", "é2"]
+    assert _bundle_digest(out) == (
+        "b73b415292a9dfb8db5166b2073e02693377e6372c690f69f87258cd732dd895"
     )
