@@ -33,14 +33,13 @@ def modularity(graph: FrameGraph, assignment: Mapping[str, int]) -> float:
         ValueError: if the graph has no edges (Q is undefined) or the
             assignment does not cover exactly the graph's nodes.
     """
-    nodes = graph.nodes
-    if set(assignment) != set(nodes):
+    if set(assignment) != set(graph.nodes):
         raise ValueError("assignment must cover exactly the graph's nodes")
     m2 = 2.0 * graph.total_weight
     if m2 == 0:
         raise ValueError("modularity is undefined for an edgeless graph")
-    nodes, rows, strengths = graph.local_form()
-    return _modularity(rows, strengths, [assignment[v] for v in nodes], m2)
+    label = [assignment[v] for v in graph.nodes]
+    return _modularity(graph.rows, graph.strengths, label, m2)
 
 
 def _modularity(
@@ -49,8 +48,8 @@ def _modularity(
     label: Sequence[int],
     m2: float,
 ) -> float:
-    """Q from a :meth:`~FrameGraph.local_form`'s rows and strengths and each
-    node's community label.
+    """Q from a :class:`FrameGraph`'s rows and strengths and each node's
+    community label.
 
     Both sums per community add up integer weights as ints, so they are
     exact; the terms are added by ascending community label.
@@ -221,10 +220,10 @@ def detect_local(
     total_weight: int,
     seed: int,
 ) -> tuple[list[int], float, bool]:
-    """Detect communities in one graph given as its local form.
+    """Detect communities in one graph given over local ids.
 
-    Takes a :meth:`~FrameGraph.local_form`'s rows and strengths, the total
-    edge weight and the seed; returns each node's community label in node
+    Takes a :class:`FrameGraph`'s rows and strengths, its total edge weight
+    and the seed; returns each node's community label in node
     order, Q and whether the graph was degenerate.  Labels are dense
     integers 0..C-1 by each community's smallest node.
 
@@ -261,13 +260,11 @@ def detect_local(
 
 
 def detect(graph: FrameGraph, seed: int = 42) -> Partition:
-    """Detect communities in one frame graph with :func:`detect_local`.
-
-    ``FrameGraph.restrict`` hands the graph's local form over ready-made.
-    """
-    nodes, rows, strengths = graph.local_form()
-    labels, q, degenerate = detect_local(rows, strengths, graph.total_weight, seed)
-    return Partition(graph.frame_index, dict(zip(nodes, labels)), q, degenerate)
+    """Detect communities in one frame graph with :func:`detect_local`."""
+    labels, q, degenerate = detect_local(
+        graph.rows, graph.strengths, graph.total_weight, seed
+    )
+    return Partition(graph.frame_index, dict(zip(graph.nodes, labels)), q, degenerate)
 
 
 def frame_seed(seed: int, frame_index: int) -> int:

@@ -4,15 +4,17 @@
 stack of snapshots plus the all-time member registry.  Graphs are immutable
 by convention: no public mutator exists and every algorithm builds new
 instances, so per-frame work can run concurrently without locking.  Tier
-one's closeness and tier two's restrictions and community detections run on
-forked worker processes, and the runs stay bit-reproducible: each detection's seed depends only on
-the configured seed, the side of the split and the frame index, and the
-results are read back in task order.
+one's closeness, aggregate shells and coverage curves and tier two's
+restrictions, community detections and frame metrics run on forked worker
+processes, and the runs stay bit-reproducible: each detection's seed
+depends only on the configured seed, the side of the split and the frame
+index, and the results are read back in task order.
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, Sequence
 
 #: Frame index used for the all-frames aggregate graph.
@@ -29,34 +31,52 @@ class FrameGraph:
     Edge weights count interaction links between a node pair inside the
     frame, so they are integers >= 1.  Self-loops are rejected.  The node set
     may include isolated nodes (members who only joined singleton teams).
+
+    The graph is held over local ids: ``nodes`` lists the node ids in sorted
+    order, and a node's local id is its position there.  ``rows[i]`` maps
+    each neighbour's local id to the edge weight, keys ascending;
+    ``strengths[i]`` is the sum of that row, and ``total_weight`` counts
+    each undirected edge once.  The kernels read these lists; the
+    name-level methods below are views over them.
     """
 
-    __slots__ = ("frame_index", "_adj", "_total_weight", "_local")
+    __slots__ = ("frame_index", "nodes", "rows", "strengths", "total_weight")
 
     def __init__(
         self, frame_index: int, adjacency: Mapping[str, Mapping[str, int]]
     ) -> None:
-        adj: dict[str, dict[str, int]] = {}
-        for node in sorted(adjacency):
+        nodes = sorted(adjacency)
+        index = {node: i for i, node in enumerate(nodes)}
+        rows = []
+        for node in nodes:
             row = adjacency[node]
-            adj[node] = {v: row[v] for v in sorted(row)}
-        total = 0
-        for node, row in adj.items():
-            for other, weight in row.items():
+            local = {}
+            for other in sorted(row):
+                weight = row[other]
                 if other == node:
                     raise ValueError(f"self-loop on node {node!r}")
                 if not isinstance(weight, int) or weight < 1:
                     raise ValueError(
                         f"edge {node!r}-{other!r} has non-positive weight {weight!r}"
                     )
-                back = adj.get(other)
+                back = adjacency.get(other)
                 if back is None or back.get(node) != weight:
                     raise ValueError(f"asymmetric edge {node!r}-{other!r}")
-                total += weight
+                local[index[other]] = weight
+            rows.append(local)
+        self._fill(frame_index, nodes, rows)
+
+    def _fill(
+        self, frame_index: int, nodes: list[str], rows: list[dict[int, int]]
+    ) -> "FrameGraph":
+        """Hold sorted ``nodes`` and their rows; the strengths and total
+        weight follow from the rows."""
         self.frame_index = frame_index
-        self._adj = adj
-        self._total_weight = total // 2
-        self._local = None
+        self.nodes = nodes
+        self.rows = rows
+        self.strengths = [sum(row.values()) for row in rows]
+        self.total_weight = sum(self.strengths) // 2
+        return self
 
     # -- construction helpers ------------------------------------------------
 
@@ -85,47 +105,48 @@ class FrameGraph:
     # -- read access ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self.nodes)
 
     def __contains__(self, node: str) -> bool:
-        return node in self._adj
+        i = bisect_left(self.nodes, node)
+        return i < len(self.nodes) and self.nodes[i] == node
+
+    def _id(self, node: str) -> int:
+        """The local id of ``node``; raises ``KeyError`` for a stranger."""
+        if node not in self:
+            raise KeyError(node)
+        return bisect_left(self.nodes, node)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameGraph):
             return NotImplemented
-        return self.frame_index == other.frame_index and self._adj == other._adj
-
-    @property
-    def nodes(self) -> Sequence[str]:
-        """Node identifiers in sorted order."""
-        return list(self._adj)
+        return (self.frame_index, self.nodes, self.rows) == (
+            other.frame_index, other.nodes, other.rows
+        )
 
     @property
     def edge_count(self) -> int:
-        return sum(len(r) for r in self._adj.values()) // 2
-
-    @property
-    def total_weight(self) -> int:
-        """Sum of edge weights, each undirected edge counted once."""
-        return self._total_weight
+        return sum(map(len, self.rows)) // 2
 
     def neighbors(self, node: str) -> Mapping[str, int]:
-        return self._adj[node]
+        nodes = self.nodes
+        return {nodes[j]: w for j, w in self.rows[self._id(node)].items()}
 
     def degree(self, node: str) -> int:
         """Number of distinct neighbours."""
-        return len(self._adj[node])
+        return len(self.rows[self._id(node)])
 
     def strength(self, node: str) -> int:
         """Sum of incident edge weights."""
-        return sum(self._adj[node].values())
+        return self.strengths[self._id(node)]
 
     def edges(self) -> Iterator[tuple[str, str, int]]:
         """Yield each undirected edge once as ``(u, v, w)`` with ``u < v``."""
-        for u, row in self._adj.items():
-            for v, w in row.items():
-                if u < v:
-                    yield u, v, w
+        nodes = self.nodes
+        for i, row in enumerate(self.rows):
+            for j, w in row.items():
+                if i < j:
+                    yield nodes[i], nodes[j], w
 
     def restrict(self, keep: Iterable[str]) -> "FrameGraph":
         """Induced subgraph on ``keep`` (unknown ids are ignored).
@@ -134,44 +155,19 @@ class FrameGraph:
         to the intersection of A and B.
 
         The result skips the constructor's sorting and checks: filtering a
-        sorted, symmetric, loop-free graph keeps it so, in the same order.
-        Its one pass builds the subgraph's :meth:`local_form`, which is all
-        the subgraph stores; its name-keyed rows are built from that form the
-        first time something reads them.
+        sorted, symmetric, loop-free graph keeps it so, in the same order,
+        and renumbering the kept local ids in order keeps the rows' keys
+        ascending.
         """
-        adj = self._adj
-        keep_set = adj.keys() & keep
-        nodes = [u for u in adj if u in keep_set]
-        index = {u: i for i, u in enumerate(nodes)}
-        rows = [{index[v]: w for v, w in adj[u].items() if v in index} for u in nodes]
-        strengths = [sum(row.values()) for row in rows]
-        sub = FrameGraph.__new__(FrameGraph)
-        sub.frame_index = self.frame_index
-        sub._total_weight = sum(strengths) // 2
-        sub._local = (nodes, rows, strengths)
-        return sub
-
-    def __getattr__(self, name: str):
-        # only reached for a slot never set: a restriction's ``_adj``
-        if name != "_adj":
-            raise AttributeError(name)
-        nodes, rows, _strengths = self._local
-        self._adj = {
-            u: {nodes[j]: w for j, w in row.items()} for u, row in zip(nodes, rows)
-        }
-        return self._adj
-
-    def local_form(self) -> tuple[list[str], list[dict[int, int]], list[int]]:
-        """The graph over local ids: the nodes in sorted order, each node's
-        row as ``{local id: weight}`` (a local id indexes the node list), and
-        the node strengths, all in node order.
-
-        A restriction carries the form it was built as; any other graph
-        builds it by restricting to all of its nodes, and keeps nothing.
-        """
-        if self._local is None:
-            return self.restrict(self._adj)._local
-        return self._local
+        keep = frozenset(keep)  # no copy when ``keep`` is a frozenset
+        kept = [i for i, node in enumerate(self.nodes) if node in keep]
+        local = {i: k for k, i in enumerate(kept)}
+        rows = self.rows
+        return FrameGraph.__new__(FrameGraph)._fill(
+            self.frame_index,
+            [self.nodes[i] for i in kept],
+            [{local[j]: w for j, w in rows[i].items() if j in local} for i in kept],
+        )
 
 
 class DynamicNetwork:
@@ -192,15 +188,15 @@ class DynamicNetwork:
                     f"frame at position {t} carries index {frame.frame_index}"
                 )
         if members is None:
-            members = set().union(*(frame._adj for frame in self.frames))
+            members = set().union(*(frame.nodes for frame in self.frames))
         self.members = frozenset(members)
         for frame in self.frames:
-            missing = frame._adj.keys() - self.members
-            if missing:
-                raise ValueError(
-                    f"node {min(missing)!r} of frame {frame.frame_index} "
-                    "is missing from the member registry"
-                )
+            for node in frame.nodes:  # in sorted order: the first is the least
+                if node not in self.members:
+                    raise ValueError(
+                        f"node {node!r} of frame {frame.frame_index} "
+                        "is missing from the member registry"
+                    )
 
     @property
     def frame_count(self) -> int:
@@ -250,35 +246,34 @@ def closeness_all(graph: FrameGraph) -> dict[str, float]:
     distances are symmetric, so their count adds to the node's own r and
     d times it to its own s.
     """
-    adj = graph._adj
-    order = list(adj)
-    n = len(order)
-    reach = dict.fromkeys(order, 0)
-    total = dict.fromkeys(order, 0)
+    rows = graph.rows
+    n = len(rows)
+    reach = [0] * n
+    total = [0] * n
     for first in range(0, n, _SOURCE_BLOCK):
-        sources = order[first : first + _SOURCE_BLOCK]
-        frontier = {v: 1 << i for i, v in enumerate(sources)}
-        seen = dict(frontier)
+        sources = range(first, min(first + _SOURCE_BLOCK, n))
+        frontier = {v: 1 << (v - first) for v in sources}
+        seen = [frontier.get(v, 0) for v in range(n)]
         level = 0
         while frontier:
             level += 1
-            found: dict[str, int] = {}
-            for v, row in adj.items():
+            found: dict[int, int] = {}
+            for v, row in enumerate(rows):
                 bits = 0
                 for u in row:
                     if u in frontier:
                         bits |= frontier[u]
-                bits &= ~seen.get(v, 0)
+                bits &= ~seen[v]
                 if bits:
                     found[v] = bits
-                    seen[v] = seen.get(v, 0) | bits
+                    seen[v] |= bits
                     count = bits.bit_count()
                     reach[v] += count
                     total[v] += level * count
             frontier = found
     return {
-        v: (reach[v] / (n - 1)) * (reach[v] / total[v]) if reach[v] else 0.0
-        for v in order
+        node: (r / (n - 1)) * (r / s) if r else 0.0
+        for node, r, s in zip(graph.nodes, reach, total)
     }
 
 

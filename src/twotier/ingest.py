@@ -84,7 +84,7 @@ class TeamRecord:
             raise ValueError(f"team {self.team_id!r} has a naive timestamp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkRecord:
     """One undirected co-participation link between two members.
 
@@ -112,7 +112,7 @@ class LinkRecord:
         return (self.member_a, self.member_b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Participation:
     """One (member, team) attendance, kept for activity accounting."""
 

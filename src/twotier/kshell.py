@@ -48,36 +48,35 @@ def wks_decompose(graph: FrameGraph) -> dict[str, int]:
     which is observably identical to stepping by one (sweeps at skipped
     indices remove nothing) but avoids idle passes.
     """
-    degree: dict[str, int] = {}
-    strength: dict[str, int] = {}
-    for node in graph.nodes:
-        degree[node] = graph.degree(node)
-        strength[node] = graph.strength(node)
+    rows = graph.rows
+    degree = [len(row) for row in rows]
+    strength = list(graph.strengths)
 
-    def current(node: str) -> int:
-        return weighted_degree_value(degree[node], strength[node])
+    def current(v: int) -> int:
+        return weighted_degree_value(degree[v], strength[v])
 
-    alive = set(degree)
-    shells: dict[str, int] = {}
+    alive = set(range(len(rows)))
+    shells = [0] * len(rows)
     k = 1
     while alive:
         batch = [v for v in alive if current(v) <= k]
         if not batch:
             k = max(k + 1, min(current(v) for v in alive))
             continue
+        # a batch is peeled at one index, so the order within it is free
         while batch:
             touched = set()
-            for node in batch:
-                alive.discard(node)
-                shells[node] = k
-                for other, w in graph.neighbors(node).items():
-                    if other in alive:
-                        degree[other] -= 1
-                        strength[other] -= w
-                        touched.add(other)
-            batch = [v for v in sorted(touched) if v in alive and current(v) <= k]
+            for v in batch:
+                alive.discard(v)
+                shells[v] = k
+                for u, w in rows[v].items():
+                    if u in alive:
+                        degree[u] -= 1
+                        strength[u] -= w
+                        touched.add(u)
+            batch = [v for v in touched if v in alive and current(v) <= k]
         k += 1
-    return shells
+    return dict(zip(graph.nodes, shells))
 
 
 @dataclass
@@ -125,10 +124,8 @@ def dynamic_influence(
     if aggregate_graph is None:
         aggregate_graph = aggregate(network)
     total = {m: 0 for m in sorted(network.members)}
-    tiebreak = {
-        m: (aggregate_graph.degree(m) if m in aggregate_graph else 0)
-        for m in total
-    }
+    degree = dict(zip(aggregate_graph.nodes, map(len, aggregate_graph.rows)))
+    tiebreak = {m: degree.get(m, 0) for m in total}
     active = dict.fromkeys(total, 0)
     for frame in network.frames:
         for member, shell in wks_decompose(frame).items():
@@ -141,10 +138,10 @@ def aggregate_ranking(aggregate_graph: FrameGraph, shells: Mapping[str, int]) ->
     """Members of the aggregate graph ordered by the frame-free method:
     (aggregate shell desc, degree desc, id asc), where ``shells`` is the
     graph's :func:`wks_decompose`."""
-    return sorted(
-        aggregate_graph.nodes,
-        key=lambda m: (-shells[m], -aggregate_graph.degree(m), m),
-    )
+    nodes = aggregate_graph.nodes
+    keys = [(-shells[m], -len(row)) for m, row in zip(nodes, aggregate_graph.rows)]
+    # the sort is stable and the nodes ascend, so equal keys stay in id order
+    return [nodes[i] for i in sorted(range(len(nodes)), key=keys.__getitem__)]
 
 
 def backbone_size(member_count: int, x: float) -> int:
@@ -203,13 +200,12 @@ def coverage_curve(
     for frame in frames:
         if len(frame) == 0:
             continue
+        own = [rank.get(node, never) for node in frame.nodes]
         ranks = []
-        for node in frame.nodes:
-            first = rank.get(node, never)
-            for other in frame.neighbors(node):
-                r = rank.get(other, never)
-                if r < first:
-                    first = r
+        for first, row in zip(own, frame.rows):
+            for u in row:
+                if own[u] < first:
+                    first = own[u]
             ranks.append(first)
         ranks.sort()
         firsts.append(ranks)

@@ -537,9 +537,8 @@ class _Work:
         _name, field_name, offset = _SIDES[side]
         frame = self.networks[name].frames[t]
         sub = frame.restrict(getattr(self.splits[x], field_name))
-        _nodes, rows, strengths = sub.local_form()
         seed = community.frame_seed(self.seed + offset, frame.frame_index)
-        return community.detect_local(rows, strengths, sub.total_weight, seed)
+        return community.detect_local(sub.rows, sub.strengths, sub.total_weight, seed)
 
     def closeness(self) -> dict[str, float]:
         return closeness_all(self.agg)

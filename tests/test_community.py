@@ -203,7 +203,7 @@ def _kernel_inputs(rng, max_edges):
     g = FrameGraph(0, random_weighted_adj(rng, max_nodes=30, max_edges=max_edges))
     if g.total_weight == 0:
         return []
-    _nodes, rows, k = g.local_form()
+    rows, k = g.rows, g.strengths
     as_floats = ([{u: float(w) for u, w in row.items()} for row in rows], [float(s) for s in k])
     groups = [rng.randrange(1 + rng.randrange(len(rows))) for _ in rows]
     dense = {c: i for i, c in enumerate(sorted(set(groups)))}

@@ -62,7 +62,26 @@ def _random_frame(rng):
 
 
 def _same_graph(a, b):
-    return a == b and a.nodes == b.nodes and a.total_weight == b.total_weight
+    return (a == b and a.nodes == b.nodes and a.rows == b.rows
+            and a.strengths == b.strengths and a.total_weight == b.total_weight)
+
+
+def _assert_one_form(g, adj=None):
+    """The local-id form's invariants, and ``edges()`` listing each edge once
+    as ``(u, v, w)`` with ``u < v`` in (u, v) order; with ``adj``, the name
+    adjacency the graph was built from, the edges are exactly its edges."""
+    assert g.nodes == sorted(set(g.nodes))
+    assert len(g.rows) == len(g.strengths) == len(g.nodes)
+    for i, row in enumerate(g.rows):
+        assert list(row) == sorted(row)
+        assert all(g.rows[j][i] == w for j, w in row.items())
+        assert g.strengths[i] == sum(row.values())
+    assert g.total_weight == sum(g.strengths) // 2
+    edges = list(g.edges())
+    assert all(u < v for u, v, _w in edges) and edges == sorted(edges)
+    if adj is not None:
+        assert edges == sorted((u, v, w) for u, row in adj.items()
+                               for v, w in row.items() if u < v)
 
 
 def test_restrict_equals_validating_constructor():
@@ -76,7 +95,10 @@ def test_restrict_equals_validating_constructor():
                 for v in rng.sample(list(g.neighbors(u)), g.degree(u)) if v in keep}
             for u in rng.sample(g.nodes, len(g)) if u in keep
         }
-        assert _same_graph(sub, FrameGraph(g.frame_index, adj))
+        built = FrameGraph(g.frame_index, adj)
+        _assert_one_form(sub)
+        _assert_one_form(built, adj)
+        assert _same_graph(sub, built)
 
 
 def test_restrict_composes():
@@ -85,6 +107,7 @@ def test_restrict_composes():
         g = _random_frame(rng)
         a = set(rng.sample(g.nodes, rng.randint(0, len(g))))
         b = set(rng.sample(g.nodes, rng.randint(0, len(g))))
+        _assert_one_form(g.restrict(a).restrict(b))
         assert _same_graph(g.restrict(a).restrict(b), g.restrict(a & b))
         assert _same_graph(g.restrict(g.nodes), g)
 
