@@ -1,10 +1,13 @@
 """Hand-built inputs for the tests: logs, community histories and graphs
-whose expected analysis results are known in advance."""
+whose expected analysis results are known in advance, and the digest that
+pins a bundle's bytes."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 from datetime import timedelta
+from pathlib import Path
 
 from twotier.graph import FrameGraph
 from twotier.ingest import (
@@ -200,3 +203,14 @@ def collation_log_records() -> list[TeamRecord]:
                 )
             )
     return records
+
+
+def bundle_digest(root: Path) -> str:
+    """sha256 over the sorted relative paths and each file's sha256, as the
+    benchmark harness computes it (``perfbench/check.py``)."""
+    digest = hashlib.sha256()
+    for rel, path in sorted(
+        (p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file()
+    ):
+        digest.update(f"{rel}\t{hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return digest.hexdigest()

@@ -28,6 +28,7 @@ from twotier.kshell import (
 from twotier.report import PipelineConfig, run_pipeline
 
 from .fixtures import (
+    bundle_digest,
     intermittent_activity_records,
     intermittent_spec,
     planted_partition,
@@ -370,4 +371,13 @@ def test_11_runtime_and_determinism(preset_run, tmp_path_factory):
         "byte-identical bundles",
         not problems,
         "; ".join(problems) or f"{elapsed:.1f}s, {len(files_a)} files compared",
+    )
+
+
+def test_large_preset_bundle_is_pinned(preset_run):
+    """The paper-scale bundle (default preset, seed 42) has the same bytes
+    on every supported Python."""
+    _, out, _ = preset_run
+    assert bundle_digest(out) == (
+        "028b6a5653a3baa6254f58a960ace1fed705bc2ac145b60eb1eaa25502000b07"
     )

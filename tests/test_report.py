@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import sys
 from datetime import timedelta
@@ -16,6 +15,8 @@ from twotier.report import (
     report_text,
     run_pipeline,
 )
+
+from .fixtures import bundle_digest
 
 
 def test_parse_window_units():
@@ -247,22 +248,11 @@ def test_pipeline_needs_no_numpy_or_scipy(tmp_path, monkeypatch):
     assert (tmp_path / "manifest.json").is_file()
 
 
-def _bundle_digest(root: Path) -> str:
-    """sha256 over the sorted relative paths and each file's sha256, as the
-    benchmark harness computes it (``perfbench/check.py``)."""
-    digest = hashlib.sha256()
-    for rel, path in sorted(
-        (p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file()
-    ):
-        digest.update(f"{rel}\t{hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
-    return digest.hexdigest()
-
-
 def test_small_preset_bundle_is_pinned(tmp_path):
     """The same bytes on every supported Python: float means are summed left
     to right, not by ``sum``, which is compensated from Python 3.12 on."""
     run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
-    assert _bundle_digest(tmp_path) == (
+    assert bundle_digest(tmp_path) == (
         "8b70caf84fd6dbe538f643c466ccb0b3b3661850ed965fd33c1b8264ff6b3432"
     )
 
@@ -300,6 +290,6 @@ def test_bundle_of_names_that_sort_apart_is_pinned(tmp_path, monkeypatch):
         assert members == sorted(members)
     assert listings[0] == ["M1", "Zz", "a", "m1", "m10", "m9", "n100", "n20",
                            "z1", "É0", "é2"]
-    assert _bundle_digest(out) == (
+    assert bundle_digest(out) == (
         "b73b415292a9dfb8db5166b2073e02693377e6372c690f69f87258cd732dd895"
     )
