@@ -1,10 +1,13 @@
 """Weighted undirected graph model shared by every analysis stage.
 
 ``FrameGraph`` is one time-frame snapshot; ``DynamicNetwork`` is the ordered
-stack of snapshots plus the all-time member registry.  Graphs are immutable
-by convention: no public mutator exists and every algorithm builds new
-instances, so per-frame work can run concurrently without locking.  Tier
-one's closeness, aggregate shells and coverage curves and tier two's
+stack of snapshots plus the all-time member registry.
+``FrameGraph.from_edges`` is the one checked builder: ingestion builds every
+frame with it, and :func:`aggregate` the all-frames graph; ``restrict``
+derives subgraphs from a built graph.  Graphs are immutable by convention:
+no public mutator exists and every algorithm builds new instances, so
+per-frame work can run concurrently without locking.  Tier one's
+closeness, aggregate shells and coverage curves and tier two's
 restrictions, community detections and frame metrics run on forked worker
 processes, and the runs stay bit-reproducible: each detection's seed
 depends only on the configured seed, the side of the split and the frame
@@ -15,7 +18,9 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections import defaultdict
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 #: Frame index used for the all-frames aggregate graph.
 AGGREGATE_FRAME = -1
@@ -38,47 +43,23 @@ class FrameGraph:
     ``strengths[i]`` is the sum of that row, and ``total_weight`` counts
     each undirected edge once.  The kernels read these lists; the
     name-level methods below are views over them.
+
+    The constructor holds ``nodes`` and ``rows`` as given and checks
+    nothing: the rows must be symmetric, loop-free and ascending, with int
+    weights >= 1.  :meth:`from_edges` builds that form and checks it;
+    :meth:`restrict` derives it from a graph that has it.
     """
 
     __slots__ = ("frame_index", "nodes", "rows", "strengths", "total_weight")
 
     def __init__(
-        self, frame_index: int, adjacency: Mapping[str, Mapping[str, int]]
-    ) -> None:
-        nodes = sorted(adjacency)
-        index = {node: i for i, node in enumerate(nodes)}
-        rows = []
-        for node in nodes:
-            row = adjacency[node]
-            local = {}
-            for other in sorted(row):
-                weight = row[other]
-                if other == node:
-                    raise ValueError(f"self-loop on node {node!r}")
-                if not isinstance(weight, int) or weight < 1:
-                    raise ValueError(
-                        f"edge {node!r}-{other!r} has non-positive weight {weight!r}"
-                    )
-                back = adjacency.get(other)
-                if back is None or back.get(node) != weight:
-                    raise ValueError(f"asymmetric edge {node!r}-{other!r}")
-                local[index[other]] = weight
-            rows.append(local)
-        self._fill(frame_index, nodes, rows)
-
-    def _fill(
         self, frame_index: int, nodes: list[str], rows: list[dict[int, int]]
-    ) -> "FrameGraph":
-        """Hold sorted ``nodes`` and their rows; the strengths and total
-        weight follow from the rows."""
+    ) -> None:
         self.frame_index = frame_index
         self.nodes = nodes
         self.rows = rows
         self.strengths = [sum(row.values()) for row in rows]
         self.total_weight = sum(self.strengths) // 2
-        return self
-
-    # -- construction helpers ------------------------------------------------
 
     @classmethod
     def from_edges(
@@ -90,17 +71,28 @@ class FrameGraph:
         """Build a graph from ``(u, v, weight)`` triples plus extra isolated nodes.
 
         Repeated pairs accumulate weight.  The two endpoint orders are
-        interchangeable.
+        interchangeable.  Raises ``ValueError`` on a self-loop, and on a
+        pair whose accumulated weight is not an int >= 1.
         """
-        adj: dict[str, dict[str, int]] = {v: {} for v in nodes}
+        adj = defaultdict(dict, {v: {} for v in nodes})
         for u, v, w in edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u!r}")
-            adj.setdefault(u, {})
-            adj.setdefault(v, {})
-            adj[u][v] = adj[u].get(v, 0) + w
-            adj[v][u] = adj[v].get(u, 0) + w
-        return cls(frame_index, adj)
+            row_u, row_v = adj[u], adj[v]
+            row_u[v] = row_u.get(v, 0) + w
+            row_v[u] = row_v.get(u, 0) + w
+        names = sorted(adj)
+        index = {node: i for i, node in enumerate(names)}
+        rows: list[dict[int, int]] = [{} for _ in names]
+        # node i enters its neighbours' rows in ascending i, so keys ascend
+        for i, node in enumerate(names):
+            for other, weight in adj[node].items():
+                if not isinstance(weight, int) or weight < 1:
+                    raise ValueError(
+                        f"edge {node!r}-{other!r} has non-positive weight {weight!r}"
+                    )
+                rows[index[other]][i] = weight
+        return cls(frame_index, names, rows)
 
     # -- read access ---------------------------------------------------------
 
@@ -128,7 +120,7 @@ class FrameGraph:
     def edge_count(self) -> int:
         return sum(map(len, self.rows)) // 2
 
-    def neighbors(self, node: str) -> Mapping[str, int]:
+    def neighbors(self, node: str) -> dict[str, int]:
         nodes = self.nodes
         return {nodes[j]: w for j, w in self.rows[self._id(node)].items()}
 
@@ -154,16 +146,15 @@ class FrameGraph:
         Restriction composes: restricting to A then to B equals restricting
         to the intersection of A and B.
 
-        The result skips the constructor's sorting and checks: filtering a
-        sorted, symmetric, loop-free graph keeps it so, in the same order,
-        and renumbering the kept local ids in order keeps the rows' keys
-        ascending.
+        The result needs no checks: filtering a sorted, symmetric, loop-free
+        graph keeps it so, in the same order, and renumbering the kept local
+        ids in order keeps the rows' keys ascending.
         """
         keep = frozenset(keep)  # no copy when ``keep`` is a frozenset
         kept = [i for i, node in enumerate(self.nodes) if node in keep]
         local = {i: k for k, i in enumerate(kept)}
         rows = self.rows
-        return FrameGraph.__new__(FrameGraph)._fill(
+        return FrameGraph(
             self.frame_index,
             [self.nodes[i] for i in kept],
             [{local[j]: w for j, w in rows[i].items() if j in local} for i in kept],
@@ -224,12 +215,11 @@ def aggregate(network: DynamicNetwork) -> FrameGraph:
     every member of the network registry (so members seen only in singleton
     teams stay represented).
     """
-    adj: dict[str, dict[str, int]] = {v: {} for v in network.members}
-    for frame in network.frames:
-        for u, v, w in frame.edges():
-            adj[u][v] = adj[u].get(v, 0) + w
-            adj[v][u] = adj[v].get(u, 0) + w
-    return FrameGraph(AGGREGATE_FRAME, adj)
+    return FrameGraph.from_edges(
+        AGGREGATE_FRAME,
+        chain.from_iterable(frame.edges() for frame in network.frames),
+        network.members,
+    )
 
 
 def closeness_all(graph: FrameGraph) -> dict[str, float]:

@@ -411,7 +411,9 @@ def build_frames(
 ) -> DynamicNetwork:
     """Assemble the dynamic network from links and (optionally) participations.
 
-    Pair weights count links between the pair inside each frame.  When
+    Each link adds ``(member_a, member_b, 1)`` to its frame, and
+    ``FrameGraph.from_edges`` builds each frame from those triples, so pair
+    weights count links between the pair inside the frame.  When
     ``participations`` is given, every participant is registered in the frame
     of their team, even without links.  The result is invariant under input
     reordering.
@@ -420,17 +422,14 @@ def build_frames(
         ValueError: if any timestamp falls outside the spec's span; the
             message names the offending record.
     """
-    weights: list[dict[tuple[str, str], int]] = [
-        {} for _ in range(spec.frame_count)
-    ]
-    nodes: list[set[str]] = [set() for _ in range(spec.frame_count)]
+    by_frame: list[list[LinkRecord]] = [[] for _ in range(spec.frame_count)]
     for link in links:
         try:
             t = spec.frame_of(link.timestamp)
         except ValueError as exc:
             raise ValueError(f"link {link.pair} of team {link.team_id!r}: {exc}")
-        weights[t][link.pair] = weights[t].get(link.pair, 0) + 1
-        nodes[t].update(link.pair)
+        by_frame[t].append(link)
+    nodes: list[set[str]] = [set() for _ in range(spec.frame_count)]
     members: set[str] = set()
     for row in participations or ():
         try:
@@ -440,13 +439,12 @@ def build_frames(
         nodes[t].add(row.member)
         members.add(row.member)
     frames = []
-    for t in range(spec.frame_count):
-        frames.append(
-            FrameGraph.from_edges(
-                t, ((u, v, w) for (u, v), w in weights[t].items()), nodes=nodes[t]
-            )
+    for t, frame_links in enumerate(by_frame):
+        frame = FrameGraph.from_edges(
+            t, ((link.member_a, link.member_b, 1) for link in frame_links), nodes[t]
         )
-        members.update(nodes[t])
+        members.update(frame.nodes)
+        frames.append(frame)
     return DynamicNetwork(frames, members)
 
 

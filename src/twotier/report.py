@@ -252,7 +252,6 @@ def write_backbone_csv(path, split: kshell.BackboneSplit) -> None:
 class PipelineResult:
     out_dir: Path
     summary: dict
-    manifest: dict
     network: DynamicNetwork
     metrics: dict = field(default_factory=dict)   # (x, filter) -> metric rows
     profiles: dict = field(default_factory=dict)  # x -> {group: ProfileRow}
@@ -328,7 +327,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             records, table, *(read() for read in kernels), bundle
         )
         summary = {"source": source, "network": network_block, **tier_one, "x": {}}
-        result = PipelineResult(bundle.root, summary, {}, networks["full"])
+        result = PipelineResult(bundle.root, summary, networks["full"])
         pending = []
         for x, split in splits.items():
             xdir = f"x{x}"
@@ -345,7 +344,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             summary["x"][str(x)] = x_block
         for key, block, rows, fdir in pending:
             result.metrics[key] = _write_metrics(rows(), block, bundle, fdir)
-    result.manifest = _write_index(bundle, config, summary)
+    _write_index(bundle, config, summary)
     result.elapsed_seconds = time.perf_counter() - started
     return result
 
@@ -708,7 +707,7 @@ def _write_metrics(rows, block: dict, bundle: _Bundle, fdir: str) -> list[dict]:
     return rows
 
 
-def _write_index(bundle: _Bundle, config: PipelineConfig, summary: dict) -> dict:
+def _write_index(bundle: _Bundle, config: PipelineConfig, summary: dict) -> None:
     """Write ``summary.json`` and ``manifest.json``; the manifest lists
     every file of the bundle, both of these included."""
     config_dump = dataclasses.asdict(config)
@@ -729,7 +728,6 @@ def _write_index(bundle: _Bundle, config: PipelineConfig, summary: dict) -> dict
         with open(path, "w") as handle:
             json.dump(data, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    return manifest
 
 
 def _version() -> str:

@@ -8,6 +8,7 @@ import hashlib
 import random
 from datetime import timedelta
 from pathlib import Path
+from typing import Mapping
 
 from twotier.graph import FrameGraph
 from twotier.ingest import (
@@ -132,6 +133,17 @@ def scripted_event_timeline() -> tuple[list[list[frozenset[str]]], list[dict]]:
         event("Continue", 7, [(6, 2)], [(7, 2)]),
     ]
     return frames, expected
+
+
+def adjacency_graph(frame_index: int, adj: Mapping[str, Mapping[str, int]]) -> FrameGraph:
+    """The graph of a symmetric name-keyed adjacency, such as
+    ``oracles.random_weighted_adj`` returns: every key is a node, and
+    ``FrameGraph.from_edges`` gets each edge once."""
+    return FrameGraph.from_edges(
+        frame_index,
+        ((u, v, w) for u, row in adj.items() for v, w in row.items() if u < v),
+        nodes=adj,
+    )
 
 
 def planted_partition(

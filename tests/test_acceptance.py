@@ -28,6 +28,7 @@ from twotier.kshell import (
 from twotier.report import PipelineConfig, run_pipeline
 
 from .fixtures import (
+    adjacency_graph,
     bundle_digest,
     intermittent_activity_records,
     intermittent_spec,
@@ -63,7 +64,7 @@ def test_01_kshell_matches_pruning_oracle():
     mismatches = 0
     for _ in range(200):
         adj = random_weighted_adj(rng, max_nodes=50, max_edges=200)
-        if wks_decompose(FrameGraph(0, adj)) != naive_wks(adj):
+        if wks_decompose(adjacency_graph(0, adj)) != naive_wks(adj):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     _verdict(

@@ -14,6 +14,7 @@ from twotier.community import (
 )
 from twotier.graph import FrameGraph
 
+from .fixtures import adjacency_graph
 from .oracles import (
     edge_sum_modularity,
     full_sweep_move_nodes,
@@ -31,7 +32,7 @@ def test_modularity_matches_matrix_oracle():
     rng = random.Random(5150)
     for _ in range(30):
         adj = random_weighted_adj(rng, max_nodes=16, max_edges=40)
-        g = FrameGraph(0, adj)
+        g = adjacency_graph(0, adj)
         if g.total_weight == 0:
             continue
         # random assignment into up to 4 groups
@@ -43,7 +44,7 @@ def test_modularity_matches_matrix_oracle():
 def test_modularity_equals_edge_sum_form():
     rng = random.Random(4242)
     for _ in range(60):
-        g = FrameGraph(0, random_weighted_adj(rng, max_nodes=40, max_edges=150))
+        g = adjacency_graph(0, random_weighted_adj(rng, max_nodes=40, max_edges=150))
         if g.total_weight == 0:
             continue
         assignment = {v: rng.randrange(rng.randint(1, 6)) for v in g.nodes}
@@ -55,7 +56,7 @@ def test_modularity_and_detect_match_networkx():
     checked = 0
     for trial in range(40):
         adj = random_weighted_adj(rng, max_nodes=30, max_edges=90)
-        g = FrameGraph(0, adj)
+        g = adjacency_graph(0, adj)
         if g.total_weight == 0:
             continue
         nxg = nx.Graph()
@@ -123,7 +124,7 @@ def test_detect_keeps_isolated_nodes_as_singletons():
 def test_detect_is_deterministic_per_seed():
     rng = random.Random(11)
     adj = random_weighted_adj(rng, max_nodes=40, max_edges=120)
-    g = FrameGraph(0, adj)
+    g = adjacency_graph(0, adj)
     p1 = detect(g, seed=123)
     p2 = detect(g, seed=123)
     assert p1.assignment == p2.assignment
@@ -135,7 +136,7 @@ def test_no_single_move_improves_q():
     rng = random.Random(2024)
     for _ in range(10):
         adj = random_weighted_adj(rng, max_nodes=20, max_edges=50)
-        g = FrameGraph(0, adj)
+        g = adjacency_graph(0, adj)
         if g.total_weight == 0:
             continue
         part = detect(g, seed=17)
@@ -200,7 +201,7 @@ def _kernel_inputs(rng, max_edges):
     self-loops its rows leave out.  Each run has random start labels (some
     unused), a node order, and whether the full sweep may isolate a node:
     only where the graph has no self-loops."""
-    g = FrameGraph(0, random_weighted_adj(rng, max_nodes=30, max_edges=max_edges))
+    g = adjacency_graph(0, random_weighted_adj(rng, max_nodes=30, max_edges=max_edges))
     if g.total_weight == 0:
         return []
     rows, k = g.rows, g.strengths
@@ -255,7 +256,7 @@ def test_detect_equals_full_sweep_kernel(monkeypatch, max_sweeps):
     rng = random.Random(1008)
     for trial in range(40):
         edges = rng.choice((30, 120, 400))
-        g = FrameGraph(0, random_weighted_adj(rng, max_nodes=50, max_edges=edges))
+        g = adjacency_graph(0, random_weighted_adj(rng, max_nodes=50, max_edges=edges))
         fast = detect(g, seed=trial)
         with monkeypatch.context() as patched:
             patched.setattr(community, "_move_nodes", _isolating_full_sweep)

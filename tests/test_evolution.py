@@ -14,9 +14,8 @@ from twotier.evolution import (
     timeline_from_partitions,
     write_event_csv,
 )
-from twotier.graph import FrameGraph
 
-from .fixtures import scripted_event_timeline
+from .fixtures import adjacency_graph, scripted_event_timeline
 from .oracles import pairwise_reemergence_candidates, random_weighted_adj
 
 F = frozenset
@@ -147,7 +146,7 @@ def test_classify_equals_pairwise_reemergence_scan(monkeypatch):
         for t in range(rng.randint(2, 30)):
             edges = rng.choice((10, 30, 60))
             adj = random_weighted_adj(rng, max_nodes=25, max_edges=edges)
-            frames.append(detect(FrameGraph(t, adj), seed=t).communities())
+            frames.append(detect(adjacency_graph(t, adj), seed=t).communities())
         alpha, beta = rng.choice(((0.5, 0.5), (0.3, 0.8), (1.0, 1.0)))
         with monkeypatch.context() as patched:
             patched.setattr(evolution, "_reemergence_candidates", checked)

@@ -14,6 +14,7 @@ from twotier.graph import (
     write_edge_csv,
 )
 
+from .fixtures import adjacency_graph
 from .oracles import bfs_closeness, random_weighted_adj
 
 
@@ -25,6 +26,10 @@ def test_from_edges_accumulates_weights():
     assert g.strength("b") == 4
     assert g.edge_count == 2
     assert g.total_weight == 4
+    # the weight check reads the accumulated weight, not each triple's
+    g = FrameGraph.from_edges(0, [("a", "b", 2), ("b", "a", -1)])
+    assert g.neighbors("a") == {"b": 1}
+    assert g.total_weight == 1
 
 
 def test_nodes_are_sorted_and_isolates_kept():
@@ -39,8 +44,19 @@ def test_rejects_self_loops_and_bad_weights():
         FrameGraph.from_edges(0, [("a", "a", 1)])
     with pytest.raises(ValueError):
         FrameGraph.from_edges(0, [("a", "b", 0)])
-    with pytest.raises(ValueError):
-        FrameGraph(0, {"a": {"b": 1}, "b": {}})  # asymmetric
+
+    def looping():
+        yield ("a", "b", 1)
+        yield ("a", "a", 1)
+        raise AssertionError("read past the self-loop")
+
+    with pytest.raises(ValueError, match="self-loop on node 'a'"):
+        FrameGraph.from_edges(0, looping())
+    # every pair's accumulated weight must be an int >= 1
+    for edges in ([("a", "b", -2)], [("a", "b", 1.0)], [("a", "b", 2), ("b", "a", -2)],
+                  [("a", "b", 1), ("c", "b", 0.5)]):
+        with pytest.raises(ValueError, match="non-positive weight"):
+            FrameGraph.from_edges(0, edges)
 
 
 def test_edges_listing_is_canonical():
@@ -58,7 +74,7 @@ def test_restrict_keeps_internal_edges_only():
 
 def _random_frame(rng):
     adj = random_weighted_adj(rng, max_nodes=30, max_edges=rng.choice((5, 40, 120)))
-    return FrameGraph(rng.randint(0, 9), adj)
+    return adjacency_graph(rng.randint(0, 9), adj)
 
 
 def _same_graph(a, b):
@@ -95,7 +111,7 @@ def test_restrict_equals_validating_constructor():
                 for v in rng.sample(list(g.neighbors(u)), g.degree(u)) if v in keep}
             for u in rng.sample(g.nodes, len(g)) if u in keep
         }
-        built = FrameGraph(g.frame_index, adj)
+        built = adjacency_graph(g.frame_index, adj)
         _assert_one_form(sub)
         _assert_one_form(built, adj)
         assert _same_graph(sub, built)
@@ -110,6 +126,51 @@ def test_restrict_composes():
         _assert_one_form(g.restrict(a).restrict(b))
         assert _same_graph(g.restrict(a).restrict(b), g.restrict(a & b))
         assert _same_graph(g.restrict(g.nodes), g)
+
+
+def test_from_edges_ignores_how_the_edges_are_listed():
+    """Each edge once, in the other endpoint order, with its weight split
+    across repeated triples, and that split list shuffled: one graph."""
+    rng = random.Random(1717)
+    for _ in range(60):
+        adj = random_weighted_adj(rng, max_nodes=30, max_edges=rng.choice((5, 40, 120)))
+        once = [(u, v, w) for u, row in adj.items() for v, w in row.items() if u < v]
+        swapped = [(v, u, w) for u, v, w in once]
+        split = []
+        for u, v, w in once:
+            cuts = sorted(rng.sample(range(1, w), rng.randint(0, w - 1)))
+            for lo, hi in zip([0] + cuts, cuts + [w]):
+                split.append((u, v, hi - lo) if rng.random() < 0.5 else (v, u, hi - lo))
+        shuffled = rng.sample(split, len(split))
+        graphs = [FrameGraph.from_edges(4, edges, nodes=rng.sample(list(adj), len(adj)))
+                  for edges in (once, swapped, split, shuffled)]
+        for g in graphs:
+            _assert_one_form(g, adj)
+            assert _same_graph(g, graphs[0])
+        assert graphs[0].nodes == sorted(adj)
+
+
+def test_aggregate_equals_per_pair_sum_over_frames():
+    rng = random.Random(2323)
+    for _ in range(30):
+        frames = [
+            adjacency_graph(t, random_weighted_adj(rng, max_nodes=20,
+                                                   max_edges=rng.choice((0, 10, 40))))
+            for t in range(rng.randint(1, 5))
+        ]
+        registry_only = {f"z{i}" for i in range(rng.randint(0, 3))}
+        members = set().union(*(f.nodes for f in frames)) | registry_only
+        agg = aggregate(DynamicNetwork(frames, members))
+        want: dict[tuple[str, str], int] = {}
+        for f in frames:
+            for u in f.nodes:
+                for v, w in f.neighbors(u).items():
+                    want[u, v] = want.get((u, v), 0) + w
+        assert agg.frame_index == AGGREGATE_FRAME
+        assert agg.nodes == sorted(members)
+        assert {(u, v): w for u in agg.nodes for v, w in agg.neighbors(u).items()} == want
+        assert all(agg.degree(z) == 0 for z in registry_only)
+        _assert_one_form(agg)
 
 
 def test_network_frame_index_must_match_position():
@@ -139,7 +200,7 @@ def test_closeness_against_bfs_oracle(monkeypatch):
     rng = random.Random(4242)
     for _ in range(40):
         adj = random_weighted_adj(rng, max_nodes=18, max_edges=40)
-        g = FrameGraph(0, adj)
+        g = adjacency_graph(0, adj)
         n = len(g.nodes)
         want = {v: bfs_closeness(adj, v, n) for v in adj}
         bulk = closeness_all(g)

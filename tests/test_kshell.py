@@ -16,6 +16,7 @@ from twotier.kshell import (
     write_influence_csv,
 )
 
+from .fixtures import adjacency_graph
 from .oracles import brute_coverage, naive_wks, random_weighted_adj
 
 
@@ -57,7 +58,7 @@ def test_wks_matches_naive_oracle_on_random_graphs():
     rng = random.Random(99)
     for _ in range(60):
         adj = random_weighted_adj(rng, max_nodes=30, max_edges=90)
-        got = wks_decompose(FrameGraph(0, adj))
+        got = wks_decompose(adjacency_graph(0, adj))
         want = naive_wks(adj)
         assert got == want
 
@@ -142,7 +143,7 @@ def test_coverage_curve_matches_brute_force_oracle():
         for t in range(rng.randint(1, 4)):
             adj = random_weighted_adj(rng, max_nodes=25, max_edges=40)
             # some frames are empty, and are skipped like the oracle skips them
-            frames.append(FrameGraph(t, {} if rng.random() < 0.2 else adj))
+            frames.append(adjacency_graph(t, {} if rng.random() < 0.2 else adj))
         # rankings may miss frame nodes and hold members of no frame
         pool = [f"n{i:02d}" for i in range(30)]
         ranked = rng.sample(pool, rng.randint(1, len(pool)))
