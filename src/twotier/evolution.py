@@ -164,7 +164,7 @@ def classify(
         continue_jaccard: an exclusive one-to-one match of unchanged size
             whose Jaccard similarity falls below this is not a Continue;
             the pair is treated as unmatched (the old community ends, the
-            new one forms).
+            new one forms).  It must lie in (0, 1].
 
     Event frame conventions: transition events (Continue/Grow/Shrink/
     Split/Merge) are stamped with the successor frame; Form/ReEmerge with
@@ -176,6 +176,8 @@ def classify(
     """
     if not 0 < alpha <= 1 or not 0 < beta <= 1:
         raise ValueError(f"alpha and beta must lie in (0, 1], got {alpha}, {beta}")
+    if not 0 < continue_jaccard <= 1:
+        raise ValueError(f"continue_jaccard must lie in (0, 1], got {continue_jaccard}")
     frames = [
         _as_sets(frame_comms, f"frame {t}")
         for t, frame_comms in enumerate(communities_by_frame)

@@ -89,7 +89,8 @@ class FrameGraph:
             for other, weight in adj[node].items():
                 if not isinstance(weight, int) or weight < 1:
                     raise ValueError(
-                        f"edge {node!r}-{other!r} has non-positive weight {weight!r}"
+                        f"edge {node!r}-{other!r} has accumulated weight {weight!r}, "
+                        "not an int >= 1"
                     )
                 rows[index[other]][i] = weight
         return cls(frame_index, names, rows)

@@ -84,45 +84,6 @@ class TeamRecord:
             raise ValueError(f"team {self.team_id!r} has a naive timestamp")
 
 
-@dataclass(frozen=True, slots=True)
-class LinkRecord:
-    """One undirected co-participation link between two members.
-
-    The endpoint pair is canonical (``member_a < member_b``); self-links are
-    rejected.
-    """
-
-    member_a: str
-    member_b: str
-    team_id: str
-    activity_id: str
-    activity_type: ActivityType
-    timestamp: datetime
-
-    def __post_init__(self) -> None:
-        if self.member_a == self.member_b:
-            raise ValueError(f"self-link on member {self.member_a!r}")
-        if self.member_b < self.member_a:
-            a, b = self.member_b, self.member_a
-            object.__setattr__(self, "member_a", a)
-            object.__setattr__(self, "member_b", b)
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.member_a, self.member_b)
-
-
-@dataclass(frozen=True, slots=True)
-class Participation:
-    """One (member, team) attendance, kept for activity accounting."""
-
-    member: str
-    team_id: str
-    activity_id: str
-    activity_type: ActivityType
-    timestamp: datetime
-
-
 def parse_log(source: IO[str], format: str = "csv") -> list[TeamRecord]:
     """Parse an activity log from an open text stream.
 
@@ -233,43 +194,29 @@ def _parse_jsonl(lines: Iterable[str]) -> list[TeamRecord]:
     return records
 
 
-def expand_teams(records: Iterable[TeamRecord]) -> list[LinkRecord]:
-    """Expand each team into links for every unordered member pair.
+def expand_teams(records: Iterable[TeamRecord]) -> list[tuple[str, str, TeamRecord]]:
+    """Expand each team into one ``(member_a, member_b, team)`` link per
+    unordered member pair.
 
-    A team of m members yields m*(m-1)/2 links sharing the team's activity
+    A team of m members yields m*(m-1)/2 links with ``member_a < member_b``;
+    ``team`` is the input record itself, which carries the link's activity
     fields and timestamp.  The output order does not depend on how members
     were listed in the input.
     """
     links = []
     for record in records:
         for a, b in combinations(record.members, 2):
-            links.append(
-                LinkRecord(
-                    member_a=a,
-                    member_b=b,
-                    team_id=record.team_id,
-                    activity_id=record.activity_id,
-                    activity_type=record.activity_type,
-                    timestamp=record.timestamp,
-                )
-            )
+            links.append((a, b, record))
     return links
 
 
-def team_participations(records: Iterable[TeamRecord]) -> list[Participation]:
-    """One participation row per (team, member), singleton teams included."""
+def team_participations(records: Iterable[TeamRecord]) -> list[tuple[str, TeamRecord]]:
+    """One ``(member, team)`` participation per team member, singleton teams
+    included; ``team`` is the input record itself."""
     rows = []
     for record in records:
         for member in record.members:
-            rows.append(
-                Participation(
-                    member=member,
-                    team_id=record.team_id,
-                    activity_id=record.activity_id,
-                    activity_type=record.activity_type,
-                    timestamp=record.timestamp,
-                )
-            )
+            rows.append((member, record))
     return rows
 
 
@@ -405,61 +352,63 @@ def spec_for_records(
 
 
 def build_frames(
-    links: Sequence[LinkRecord],
+    links: Sequence[tuple[str, str, TeamRecord]],
     spec: FrameSpec,
-    participations: Sequence[Participation] | None = None,
+    participations: Sequence[tuple[str, TeamRecord]] | None = None,
 ) -> DynamicNetwork:
     """Assemble the dynamic network from links and (optionally) participations.
 
-    Each link adds ``(member_a, member_b, 1)`` to its frame, and
-    ``FrameGraph.from_edges`` builds each frame from those triples, so pair
-    weights count links between the pair inside the frame.  When
-    ``participations`` is given, every participant is registered in the frame
-    of their team, even without links.  The result is invariant under input
-    reordering.
+    ``links`` holds ``(member_a, member_b, team)`` triples and
+    ``participations`` ``(member, team)`` pairs, as ``expand_teams`` and
+    ``team_participations`` return them; each lands in the frame of its
+    team's timestamp.  Each link adds ``(member_a, member_b, 1)`` to its
+    frame, and ``FrameGraph.from_edges`` builds each frame from those
+    triples, so pair weights count links between the pair inside the frame.
+    Every participant is registered in the frame of their team, even
+    without links.  The result is invariant under input reordering.
 
     Raises:
         ValueError: if any timestamp falls outside the spec's span; the
-            message names the offending record.
+            message names the offending link or participation and its team.
     """
-    by_frame: list[list[LinkRecord]] = [[] for _ in range(spec.frame_count)]
+    by_frame: list[list[tuple[str, str, TeamRecord]]] = [[] for _ in range(spec.frame_count)]
     for link in links:
+        a, b, team = link
         try:
-            t = spec.frame_of(link.timestamp)
+            t = spec.frame_of(team.timestamp)
         except ValueError as exc:
-            raise ValueError(f"link {link.pair} of team {link.team_id!r}: {exc}")
+            raise ValueError(f"link {(a, b)} of team {team.team_id!r}: {exc}")
         by_frame[t].append(link)
     nodes: list[set[str]] = [set() for _ in range(spec.frame_count)]
     members: set[str] = set()
-    for row in participations or ():
+    for member, team in participations or ():
         try:
-            t = spec.frame_of(row.timestamp)
+            t = spec.frame_of(team.timestamp)
         except ValueError as exc:
-            raise ValueError(f"participation of {row.member!r} in team {row.team_id!r}: {exc}")
-        nodes[t].add(row.member)
-        members.add(row.member)
+            raise ValueError(f"participation of {member!r} in team {team.team_id!r}: {exc}")
+        nodes[t].add(member)
+        members.add(member)
     frames = []
     for t, frame_links in enumerate(by_frame):
-        frame = FrameGraph.from_edges(
-            t, ((link.member_a, link.member_b, 1) for link in frame_links), nodes[t]
-        )
+        frame = FrameGraph.from_edges(t, ((a, b, 1) for a, b, _ in frame_links), nodes[t])
         members.update(frame.nodes)
         frames.append(frame)
     return DynamicNetwork(frames, members)
 
 
 def typed_network(
-    links: Sequence[LinkRecord],
+    links: Sequence[tuple[str, str, TeamRecord]],
     spec: FrameSpec,
     activity_type: ActivityType | str,
-    participations: Sequence[Participation] | None = None,
+    participations: Sequence[tuple[str, TeamRecord]] | None = None,
 ) -> DynamicNetwork:
-    """Network built from the links (and participations) of one activity type.
+    """Network built from the ``(member_a, member_b, team)`` links (and
+    ``(member, team)`` participations) whose team has one activity type.
 
     Filtering by A and then by B partitions the link multiset exactly: every
-    link carries one of the two types.
+    team carries one of the two types.
     """
     kind = ActivityType(activity_type)
-    sub_links = [link for link in links if link.activity_type is kind]
-    sub_parts = [p for p in (participations or ()) if p.activity_type is kind]
+    sub_links = [link for link in links if link[2].activity_type is kind]
+    sub_parts = [row for row in (participations or ()) if row[1].activity_type is kind]
     return build_frames(sub_links, spec, sub_parts)

@@ -59,6 +59,11 @@ def test_match_rejects_bad_input():
         classify([[F()], [F({"a"})]])
     with pytest.raises(ValueError):
         classify([[F({"a"}), F({"a", "b"})], [F({"c"})]])  # overlapping communities
+    same = [[F({"a", "b"})], [F({"a", "b"})]]
+    for bad in (0, -0.5, 1.5, 2, float("nan")):
+        with pytest.raises(ValueError, match="continue_jaccard must lie in"):
+            classify(same, continue_jaccard=bad)
+    assert classify(same, continue_jaccard=1).events[-1].kind is EventKind.CONTINUE
 
 
 def test_classify_first_frame_is_all_form():

@@ -55,7 +55,7 @@ def test_rejects_self_loops_and_bad_weights():
     # every pair's accumulated weight must be an int >= 1
     for edges in ([("a", "b", -2)], [("a", "b", 1.0)], [("a", "b", 2), ("b", "a", -2)],
                   [("a", "b", 1), ("c", "b", 0.5)]):
-        with pytest.raises(ValueError, match="non-positive weight"):
+        with pytest.raises(ValueError, match=r"accumulated weight .*, not an int >= 1$"):
             FrameGraph.from_edges(0, edges)
 
 

@@ -6,7 +6,6 @@ import pytest
 from twotier.ingest import (
     ActivityType,
     FrameSpec,
-    LinkRecord,
     LogParseError,
     TeamRecord,
     add_months,
@@ -70,30 +69,25 @@ def test_team_record_sorts_members_and_rejects_duplicates():
         _team("t3", [])
 
 
-def test_link_record_is_canonical():
-    ts = parse_timestamp("2021-01-01T00:00:00Z")
-    link = LinkRecord(member_a="z", member_b="a", team_id="t1", activity_id="act",
-                      activity_type=ActivityType.B, timestamp=ts)
-    assert (link.member_a, link.member_b) == ("a", "z")
-    assert link.pair == ("a", "z")
-    with pytest.raises(ValueError):
-        LinkRecord(member_a="a", member_b="a", team_id="t1", activity_id="act",
-                   activity_type=ActivityType.B, timestamp=ts)
-
-
 def test_expand_teams_makes_all_pairs():
     links = expand_teams([_team("t1", ["a", "b", "c", "d"])])
     assert len(links) == 6  # C(4, 2)
-    pairs = {l.pair for l in links}
+    pairs = {(a, b) for a, b, _ in links}
     assert ("a", "d") in pairs and ("c", "d") in pairs
+    # members listed out of order still give canonical pairs, and every
+    # triple carries the input record itself
+    team = _team("t2", ["z", "b", "m"])
+    links = expand_teams([team])
+    assert [(a, b) for a, b, _ in links] == [("b", "m"), ("b", "z"), ("m", "z")]
+    assert all(a < b and record is team for a, b, record in links)
 
 
 def test_team_participations_counts_by_type():
     parts = team_participations([_team("t1", ["a", "b"], kind="A"),
                                  _team("t2", ["a", "b"], kind="B")])
-    mine = [p for p in parts if p.member == "a"]
+    mine = [team for member, team in parts if member == "a"]
     assert len(mine) == 2
-    assert {p.activity_type for p in mine} == {ActivityType.A, ActivityType.B}
+    assert {team.activity_type for team in mine} == {ActivityType.A, ActivityType.B}
 
 
 # --- log parsing ----------------------------------------------------------
@@ -237,9 +231,15 @@ def test_build_frames_rejects_outside_span():
     records = [_team("t1", ["a", "b"], ts="2021-01-10T00:00:00Z")]
     start = parse_timestamp("2022-01-01T00:00:00Z")
     spec = FrameSpec(start, add_months(start, 1), window_months=1)
+    outside = "timestamp 2021-01-10T00:00:00+00:00 outside span"
     with pytest.raises(ValueError) as err:
         build_frames(expand_teams(records), spec)
-    assert "t1" in str(err.value) or "2021" in str(err.value)
+    assert str(err.value).startswith(f"link ('a', 'b') of team 't1': {outside}")
+    # a singleton team has no links; its participation names member and team
+    solo = [_team("t9", ["c"], ts="2021-01-10T00:00:00Z")]
+    with pytest.raises(ValueError) as err:
+        build_frames(expand_teams(solo), spec, team_participations(solo))
+    assert str(err.value).startswith(f"participation of 'c' in team 't9': {outside}")
 
 
 def test_typed_network_filters_one_activity_type():
