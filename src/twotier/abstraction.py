@@ -10,8 +10,7 @@ are classed by their endpoints: BC-BC -> BBE, GC-GC -> GGE, mixed -> BGE.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graph import FrameGraph, mean
 from .kshell import BackboneSplit
@@ -30,55 +29,12 @@ def edge_class(class_a: str, class_b: str) -> str:
     return "BGE"
 
 
-@dataclass
-class AbstractGraph:
-    """Community-level graph of one frame.
-
-    ``nodes`` holds every community node (isolated communities are still
-    nodes); ``edges`` maps canonical node-key pairs to collapsed link weight.
-    """
-
-    frame_index: int
-    nodes: Collection[NodeKey]
-    edges: dict[tuple[NodeKey, NodeKey], int]
-    _adj: dict[NodeKey, dict[NodeKey, int]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        adj: dict[NodeKey, dict[NodeKey, int]] = {v: {} for v in sorted(self.nodes)}
-        for (a, b), w in sorted(self.edges.items()):
-            if a not in adj or b not in adj:
-                raise ValueError(f"edge {a}-{b} references an unknown community")
-            if a == b:
-                raise ValueError(f"self-edge on community {a}")
-            adj[a][b] = w
-            adj[b][a] = w
-        self._adj = adj
-
-    @property
-    def node_count(self) -> int:
-        return len(self._adj)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def nodes_of_class(self, node_class: str) -> list[NodeKey]:
-        return [v for v in self._adj if v[0] == node_class]
-
-    def neighbors(self, key: NodeKey) -> Mapping[NodeKey, int]:
-        return self._adj[key]
-
-    def class_edge_counts(self) -> dict[str, int]:
-        counts = {"BBE": 0, "GGE": 0, "BGE": 0}
-        for a, b in self.edges:
-            counts[edge_class(a[0], b[0])] += 1
-        return counts
-
-    def class_edge_weights(self) -> dict[str, int]:
-        weights = {"BBE": 0, "GGE": 0, "BGE": 0}
-        for (a, b), w in self.edges.items():
-            weights[edge_class(a[0], b[0])] += w
-        return weights
+def class_edge_weights(graph: FrameGraph) -> dict[str, int]:
+    """Collapsed edge weight of each edge class."""
+    weights = {"BBE": 0, "GGE": 0, "BGE": 0}
+    for a, b, w in graph.edges():
+        weights[edge_class(a[0], b[0])] += w
+    return weights
 
 
 def abstract(
@@ -86,8 +42,11 @@ def abstract(
     bsn_map: Mapping[str, int],
     gsn_map: Mapping[str, int],
     split: BackboneSplit | None = None,
-) -> AbstractGraph:
+) -> FrameGraph:
     """Collapse one frame to the community level.
+
+    The result is a :class:`FrameGraph` over :data:`NodeKey` nodes, every
+    community a node.  Every ``"BC"`` key sorts before every ``"GC"`` key.
 
     Args:
         frame: the full frame graph (backbone + general members).
@@ -119,49 +78,47 @@ def abstract(
     if missing:
         raise ValueError(f"frame members missing from both partitions: {missing}")
 
-    edges: dict[tuple[NodeKey, NodeKey], int] = {}
-    for u, v, w in frame.edges():
-        a, b = node_of[u], node_of[v]
-        if a == b:
-            continue  # intra-community links are hidden at this level
-        pair = (a, b) if a < b else (b, a)
-        edges[pair] = edges.get(pair, 0) + w
-    return AbstractGraph(frame.frame_index, set(node_of.values()), edges)
+    keys = [node_of[m] for m in frame.nodes]
+    # intra-community links are hidden at this level
+    crossing = (
+        (keys[i], keys[j], w)
+        for i, row in enumerate(frame.rows)
+        for j, w in row.items()
+        if i < j and keys[i] != keys[j]
+    )
+    return FrameGraph.from_edges(frame.frame_index, crossing, node_of.values())
 
 
-def density(agraph: AbstractGraph, node_class: str | None = None) -> float:
+def density(graph: FrameGraph, node_class: str | None = None) -> float:
     """Edge density 2L / (N (N-1)), by node class or for the whole graph.
 
     With a class given, only nodes of that class and edges internal to it
     count.  Graphs with at most one qualifying node have density 0.
     """
     if node_class is None:
-        n = agraph.node_count
-        links = agraph.edge_count
-    else:
-        keep = set(agraph.nodes_of_class(node_class))
-        n = len(keep)
-        links = sum(1 for a, b in agraph.edges if a in keep and b in keep)
-    if n <= 1:
-        return 0.0
-    return 2.0 * links / (n * (n - 1))
+        return _density(len(graph), graph.edge_count)
+    n = sum(1 for v in graph.nodes if v[0] == node_class)
+    links = sum(1 for a, b, _w in graph.edges() if a[0] == b[0] == node_class)
+    return _density(n, links)
 
 
-def betweenness(agraph: AbstractGraph) -> dict[NodeKey, float]:
+def _density(n: int, links: int) -> float:
+    return 2.0 * links / (n * (n - 1)) if n > 1 else 0.0
+
+
+def betweenness(graph: FrameGraph) -> dict[NodeKey, float]:
     """Shortest-path betweenness of every community node.
 
     For each unordered node pair (m, n), a node z != m, n accrues the
     fraction of shortest m-n paths passing through it.  Paths are hop-based
     (edge weights do not shorten them).
 
-    Brandes' algorithm (J. Math. Sociol. 2001) on dense node indices.  A
-    source without neighbours reaches no one and adds exactly 0, so it is
-    skipped.
+    Brandes' algorithm (J. Math. Sociol. 2001) on the graph's local ids.
+    A source without neighbours reaches no one and adds exactly 0, so it
+    is skipped.
     """
-    order = list(agraph._adj)
-    index = {v: i for i, v in enumerate(order)}
-    nbrs = [[index[u] for u in agraph._adj[v]] for v in order]
-    n = len(order)
+    nbrs = [list(row) for row in graph.rows]
+    n = len(nbrs)
     score = [0.0] * n
     for source in range(n):
         if not nbrs[source]:
@@ -190,51 +147,54 @@ def betweenness(agraph: AbstractGraph) -> dict[NodeKey, float]:
             if w != source:
                 score[w] += delta[w]
     # each unordered pair was counted from both endpoints
-    return {v: score[i] * 0.5 for i, v in enumerate(order)}
+    return {v: score[i] * 0.5 for i, v in enumerate(graph.nodes)}
 
 
-def edge_weight_shares(agraph: AbstractGraph) -> tuple[float, float, float]:
+def edge_weight_shares(graph: FrameGraph) -> tuple[float, float, float]:
     """(BBE, GGE, BGE) shares of total collapsed edge weight; they sum to 1.
 
     Raises:
         ValueError: if the abstract graph has no edges.
     """
-    weights = agraph.class_edge_weights()
+    weights = class_edge_weights(graph)
     total = sum(weights.values())
     if total == 0:
         raise ValueError("edge-weight shares are undefined without edges")
     return (weights["BBE"] / total, weights["GGE"] / total, weights["BGE"] / total)
 
 
-def frame_metrics(agraph: AbstractGraph) -> dict:
+def frame_metrics(graph: FrameGraph) -> dict:
     """One row of per-frame community-level indicators."""
-    bc = agraph.nodes_of_class(BACKBONE_CLASS)
-    gc = agraph.nodes_of_class(GENERAL_CLASS)
-    bc_iso = sum(1 for v in bc if not agraph._adj[v])
-    gc_iso = sum(1 for v in gc if not agraph._adj[v])
-    counts = agraph.class_edge_counts()
-    central = betweenness(agraph)
-    mean_bc = mean(central[v] for v in bc)
-    mean_gc = mean(central[v] for v in gc)
+    bc = [i for i, v in enumerate(graph.nodes) if v[0] == BACKBONE_CLASS]
+    gc = [i for i, v in enumerate(graph.nodes) if v[0] == GENERAL_CLASS]
+    bc_iso = sum(1 for i in bc if not graph.rows[i])
+    gc_iso = sum(1 for i in gc if not graph.rows[i])
+    counts = {"BBE": 0, "GGE": 0, "BGE": 0}
+    for a, b, _w in graph.edges():
+        counts[edge_class(a[0], b[0])] += 1
+    central = list(betweenness(graph).values())  # in local-id order
+    mean_bc = mean(central[i] for i in bc)
+    mean_gc = mean(central[i] for i in gc)
     row = {
-        "frame": agraph.frame_index,
-        "n_communities": agraph.node_count,
+        "frame": graph.frame_index,
+        "n_communities": len(graph),
         "n_bc": len(bc),
         "n_gc": len(gc),
         "n_bc_isolated": bc_iso,
         "n_gc_isolated": gc_iso,
-        "l_total": agraph.edge_count,
+        "l_total": graph.edge_count,
         "l_bbe": counts["BBE"],
         "l_gge": counts["GGE"],
         "l_bge": counts["BGE"],
-        "density_all": density(agraph),
-        "density_bc": density(agraph, BACKBONE_CLASS),
-        "density_gc": density(agraph, GENERAL_CLASS),
+        "density_all": density(graph),
+        # the BC-BC and GC-GC links are the edges internal to each class
+        "density_bc": _density(len(bc), counts["BBE"]),
+        "density_gc": _density(len(gc), counts["GGE"]),
         "mean_betweenness_bc": mean_bc,
         "mean_betweenness_gc": mean_gc,
     }
-    if agraph.edge_count > 0:
-        bbe, gge, bge = edge_weight_shares(agraph)
+    if graph.edge_count > 0:
+        bbe, gge, bge = edge_weight_shares(graph)
         row["share_bbe"] = bbe
         row["share_gge"] = gge
         row["share_bge"] = bge
@@ -265,18 +225,18 @@ METRIC_COLUMNS = [
 ]
 
 
-def write_abstract_csv(path, graphs: Iterable[AbstractGraph]) -> None:
+def write_abstract_csv(path, graphs: Iterable[FrameGraph]) -> None:
     """Dump abstract edges: frame,comm_a,class_a,comm_b,class_b,edge_class,weight."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["frame", "comm_a", "class_a", "comm_b", "class_b", "edge_class", "weight"]
         )
-        for agraph in graphs:
-            for (a, b), w in sorted(agraph.edges.items()):
+        for graph in graphs:
+            for a, b, w in graph.edges():
                 writer.writerow(
                     [
-                        agraph.frame_index,
+                        graph.frame_index,
                         a[1],
                         a[0],
                         b[1],

@@ -37,8 +37,10 @@ class FrameGraph:
     frame, so they are integers >= 1.  Self-loops are rejected.  The node set
     may include isolated nodes (members who only joined singleton teams).
 
-    The graph is held over local ids: ``nodes`` lists the node ids in sorted
-    order, and a node's local id is its position there.  ``rows[i]`` maps
+    Node ids are member names, or ``(class, community)`` keys in tier
+    two's community graph (``abstraction.abstract``).  The graph is held
+    over local ids: ``nodes`` lists the node ids in sorted order, and a
+    node's local id is its position there.  ``rows[i]`` maps
     each neighbour's local id to the edge weight, keys ascending;
     ``strengths[i]`` is the sum of that row, and ``total_weight`` counts
     each undirected edge once.  The kernels read these lists; the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import combinations
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .graph import DynamicNetwork, FrameGraph
 
@@ -154,10 +154,20 @@ def _record(fields: dict, line: int) -> TeamRecord:
         raise LogParseError(str(exc), line=line, field="members") from None
 
 
+def _csv_rows(reader) -> Iterator[list[str]]:
+    """The rows of ``reader``; a ``csv.Error`` (such as a field over the
+    module's size limit) becomes a ``LogParseError`` naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise LogParseError(str(exc), line=reader.line_num) from None
+
+
 def _parse_csv(lines: Iterable[str]) -> list[TeamRecord]:
     reader = csv.reader(lines)
+    rows = _csv_rows(reader)
     records = []
-    header = next(reader, None)
+    header = next(rows, None)
     if header is None:
         return records
     if [h.strip() for h in header] != CSV_HEADER:
@@ -165,7 +175,7 @@ def _parse_csv(lines: Iterable[str]) -> list[TeamRecord]:
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
             line=1,
         )
-    for number, row in enumerate(reader, start=2):
+    for number, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
@@ -365,27 +375,35 @@ def build_frames(
     frame, and ``FrameGraph.from_edges`` builds each frame from those
     triples, so pair weights count links between the pair inside the frame.
     Every participant is registered in the frame of their team, even
-    without links.  The result is invariant under input reordering.
+    without links.  The result is invariant under input reordering.  A
+    team's frame is looked up once per run of its links or participations.
 
     Raises:
         ValueError: if any timestamp falls outside the spec's span; the
             message names the offending link or participation and its team.
     """
     by_frame: list[list[tuple[str, str, TeamRecord]]] = [[] for _ in range(spec.frame_count)]
+    last = None  # the team whose frame ``t`` holds
     for link in links:
         a, b, team = link
-        try:
-            t = spec.frame_of(team.timestamp)
-        except ValueError as exc:
-            raise ValueError(f"link {(a, b)} of team {team.team_id!r}: {exc}")
+        if team is not last:
+            try:
+                t = spec.frame_of(team.timestamp)
+            except ValueError as exc:
+                raise ValueError(f"link {(a, b)} of team {team.team_id!r}: {exc}")
+            last = team
         by_frame[t].append(link)
     nodes: list[set[str]] = [set() for _ in range(spec.frame_count)]
     members: set[str] = set()
     for member, team in participations or ():
-        try:
-            t = spec.frame_of(team.timestamp)
-        except ValueError as exc:
-            raise ValueError(f"participation of {member!r} in team {team.team_id!r}: {exc}")
+        if team is not last:
+            try:
+                t = spec.frame_of(team.timestamp)
+            except ValueError as exc:
+                raise ValueError(
+                    f"participation of {member!r} in team {team.team_id!r}: {exc}"
+                )
+            last = team
         nodes[t].add(member)
         members.add(member)
     frames = []

@@ -676,7 +676,7 @@ def _analyze_filter(
     rows = work.submit("frame_rows", agraphs)
     totals = {"BBE": 0, "GGE": 0, "BGE": 0}
     for agraph in agraphs:
-        for cls, weight in agraph.class_edge_weights().items():
+        for cls, weight in abstraction.class_edge_weights(agraph).items():
             totals[cls] += weight
     weight_sum = sum(totals.values())
     block["event_shares"] = evolution.event_shares(events)

@@ -8,7 +8,7 @@ import hashlib
 import random
 from datetime import timedelta
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from twotier.graph import FrameGraph
 from twotier.ingest import (
@@ -143,6 +143,20 @@ def adjacency_graph(frame_index: int, adj: Mapping[str, Mapping[str, int]]) -> F
         frame_index,
         ((u, v, w) for u, row in adj.items() for v, w in row.items() if u < v),
         nodes=adj,
+    )
+
+
+def abstract_graph(
+    frame_index: int,
+    nodes: Iterable[tuple[str, int]],
+    edges: Mapping[tuple[tuple[str, int], tuple[str, int]], int],
+) -> FrameGraph:
+    """The community-level graph over ``(class, community)`` ``nodes`` with
+    one edge per ``{(key_a, key_b): weight}`` entry, as
+    ``abstraction.abstract`` returns it: ``FrameGraph.from_edges`` gets the
+    mapping's edges and every node."""
+    return FrameGraph.from_edges(
+        frame_index, ((a, b, w) for (a, b), w in edges.items()), nodes
     )
 
 

@@ -200,7 +200,7 @@ def dict_brandes_betweenness(agraph) -> dict:
     Same operations in the same order as ``abstraction.betweenness``, over
     per-source dicts instead of index lists.
     """
-    order = list(agraph._adj)
+    order = list(agraph.nodes)
     score = {v: 0.0 for v in order}
     for source in order:
         stack = []
@@ -212,7 +212,7 @@ def dict_brandes_betweenness(agraph) -> dict:
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for u in agraph._adj[v]:
+            for u in agraph.neighbors(v):
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     queue.append(u)

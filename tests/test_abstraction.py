@@ -1,3 +1,4 @@
+import csv
 import random
 from itertools import combinations
 
@@ -5,9 +6,9 @@ import networkx as nx
 import pytest
 
 from twotier.abstraction import (
-    AbstractGraph,
     abstract,
     betweenness,
+    class_edge_weights,
     density,
     edge_class,
     edge_weight_shares,
@@ -17,16 +18,18 @@ from twotier.abstraction import (
 )
 from twotier.graph import FrameGraph
 
+from .fixtures import abstract_graph, adjacency_graph
 from .oracles import brute_betweenness, dict_brandes_betweenness, random_weighted_adj
+from .test_graph import _assert_one_form
 
 
 def _agraph(n_bc, n_gc, edges):
-    """AbstractGraph builder with nodes BC0..  GC0.."""
+    """Abstract graph with nodes BC0..  GC0.."""
     keys = [("BC", i) for i in range(n_bc)] + [("GC", i) for i in range(n_gc)]
     named = {}
     for a, b, w in edges:
         named[tuple(sorted((a, b)))] = w
-    return AbstractGraph(0, keys, named)
+    return abstract_graph(0, keys, named)
 
 
 def test_edge_class_names():
@@ -47,11 +50,71 @@ def test_abstract_collapses_and_hides_intra_links():
     bsn = {"b1": 0, "b2": 0, "b3": 1}
     gsn = {"g1": 0, "g2": 0, "g3": 1}
     ag = abstract(frame, bsn, gsn)
-    assert ag.node_count == 4
-    weights = ag.class_edge_weights()
+    assert len(ag) == 4
+    weights = class_edge_weights(ag)
     assert weights == {"BBE": 2, "GGE": 0, "BGE": 5}
     # hidden edges do not appear anywhere
     assert ag.edge_count == 3
+
+
+def _random_assignment(rng, frame):
+    """Random BSN/GSN community maps that cover the frame's members."""
+    bsn, gsn = {}, {}
+    communities = rng.randint(1, 8)
+    for member in frame.nodes:
+        side = bsn if rng.random() < 0.4 else gsn
+        side[member] = rng.randrange(communities)
+    return bsn, gsn
+
+
+def _plain_abstract(frame, bsn, gsn):
+    """``abstract`` as a per-edge dict collapse of ``frame.edges()``."""
+    node_of = {m: ("BC", c) for m, c in bsn.items()}
+    node_of.update((m, ("GC", c)) for m, c in gsn.items())
+    edges = {}
+    for u, v, w in frame.edges():
+        a, b = sorted((node_of[u], node_of[v]))
+        if a != b:
+            edges[(a, b)] = edges.get((a, b), 0) + w
+    return abstract_graph(frame.frame_index, node_of.values(), edges), edges
+
+
+def test_abstract_equals_plain_collapse():
+    rng = random.Random(1818)
+    for t in range(60):
+        frame = adjacency_graph(t, random_weighted_adj(
+            rng, max_nodes=40, max_edges=rng.choice((10, 60, 150))))
+        bsn, gsn = _random_assignment(rng, frame)
+        ag = abstract(frame, bsn, gsn)
+        want, edges = _plain_abstract(frame, bsn, gsn)
+        assert ag == want
+        adj = {}
+        for (a, b), w in edges.items():
+            adj.setdefault(a, {})[b] = w
+            adj.setdefault(b, {})[a] = w
+        _assert_one_form(ag, adj)
+
+
+def test_abstract_csv_sorts_edges_by_frame_and_keys(tmp_path):
+    rng = random.Random(1919)
+    graphs = []
+    for t in range(6):
+        frame = adjacency_graph(t, random_weighted_adj(rng, max_nodes=30, max_edges=80))
+        graphs.append(abstract(frame, *_random_assignment(rng, frame)))
+    path = tmp_path / "abstract.csv"
+    write_abstract_csv(path, graphs)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    listed = [
+        (int(t), (class_a, int(comm_a)), (class_b, int(comm_b)), kind, int(w))
+        for t, comm_a, class_a, comm_b, class_b, kind, w in rows
+    ]
+    assert [row[:3] for row in listed] == sorted(row[:3] for row in listed)
+    assert listed == [
+        (g.frame_index, a, b, edge_class(a[0], b[0]), w)
+        for g in graphs
+        for a, b, w in g.edges()
+    ]
 
 
 def test_abstract_rejects_bad_assignments():
@@ -110,7 +173,7 @@ def test_betweenness_matches_brute_enumeration():
         for a, b in combinations(keys, 2):
             if rng.random() < 0.3:
                 edges[(a, b)] = 1
-        ag = AbstractGraph(0, keys, edges)
+        ag = abstract_graph(0, keys, edges)
         adj = {k: dict(ag.neighbors(k)) for k in keys}
         want = brute_betweenness(adj)
         got = betweenness(ag)
@@ -127,7 +190,7 @@ def _random_agraph(rng):
         for v, w in row.items():
             a, b = sorted((key[u], key[v]))
             edges[(a, b)] = w
-    return AbstractGraph(3, set(key.values()), edges)
+    return abstract_graph(3, set(key.values()), edges)
 
 
 def test_betweenness_equals_dict_keyed_brandes():
@@ -143,7 +206,7 @@ def test_betweenness_matches_networkx():
         ag = _random_agraph(rng)
         g = nx.Graph()
         g.add_nodes_from(ag.nodes)
-        g.add_edges_from(ag.edges)
+        g.add_edges_from((a, b) for a, b, _w in ag.edges())
         want = nx.betweenness_centrality(g, normalized=False)
         got = betweenness(ag)
         assert set(got) == set(want)

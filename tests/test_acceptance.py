@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from twotier.abstraction import AbstractGraph, betweenness, density
+from twotier.abstraction import betweenness, density
 from twotier.community import detect, modularity
 from twotier.evolution import ATTRIBUTE, EventKind, classify
 from twotier.graph import DynamicNetwork, FrameGraph, aggregate
@@ -28,6 +28,7 @@ from twotier.kshell import (
 from twotier.report import PipelineConfig, run_pipeline
 
 from .fixtures import (
+    abstract_graph,
     adjacency_graph,
     bundle_digest,
     intermittent_activity_records,
@@ -254,7 +255,7 @@ def test_07_betweenness_matches_enumeration():
         for a, b in combinations(keys, 2):
             if rng.random() < 0.25:
                 edges[(a, b)] = 1
-        ag = AbstractGraph(0, keys, edges)
+        ag = abstract_graph(0, keys, edges)
         adj = {k: dict(ag.neighbors(k)) for k in keys}
         want = brute_betweenness(adj)
         got = betweenness(ag)
@@ -263,17 +264,17 @@ def test_07_betweenness_matches_enumeration():
             checked += 1
     ok = worst <= 1e-9
 
-    star = AbstractGraph(0, [("BC", i) for i in range(7)],
-                         {(("BC", 0), ("BC", i)): 1 for i in range(1, 7)})
+    star = abstract_graph(0, [("BC", i) for i in range(7)],
+                          {(("BC", 0), ("BC", i)): 1 for i in range(1, 7)})
     ok = ok and betweenness(star)[("BC", 0)] == 15.0  # C(6,2)
     ok = ok and all(betweenness(star)[("BC", i)] == 0.0 for i in range(1, 7))
     path_nodes = [("BC", i) for i in range(5)]
     path_edges = {(("BC", i), ("BC", i + 1)): 1 for i in range(4)}
-    path_bw = betweenness(AbstractGraph(0, path_nodes, path_edges))
+    path_bw = betweenness(abstract_graph(0, path_nodes, path_edges))
     ok = ok and [path_bw[("BC", i)] for i in range(5)] == [0.0, 3.0, 4.0, 3.0, 0.0]
-    comp = AbstractGraph(0, [("BC", i) for i in range(6)],
-                         {(a, b): 1 for a, b in
-                          combinations([("BC", i) for i in range(6)], 2)})
+    comp = abstract_graph(0, [("BC", i) for i in range(6)],
+                          {(a, b): 1 for a, b in
+                           combinations([("BC", i) for i in range(6)], 2)})
     ok = ok and all(v == 0.0 for v in betweenness(comp).values())
     _verdict(
         "betweenness equals brute-force shortest-path enumeration",
@@ -285,7 +286,7 @@ def test_07_betweenness_matches_enumeration():
 def test_08_density_closed_forms():
     def ag(n, pairs):
         nodes = [("GC", i) for i in range(n)]
-        return AbstractGraph(0, nodes, {p: 1 for p in pairs})
+        return abstract_graph(0, nodes, {p: 1 for p in pairs})
 
     nodes = [("GC", i) for i in range(6)]
     complete = ag(6, list(combinations(nodes, 2)))

@@ -95,6 +95,12 @@ def test_cli_error_paths(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "u")])
     assert code == 2
     assert "too long" in capsys.readouterr().err
+    # a CSV field over the csv module's size limit names its line
+    wide = tmp_path / "wide.csv"
+    wide.write_text(header + "t1,a1,A,2021-01-04T09:00:00Z,a;" + "b" * 200_000 + "\n")
+    code = main(["analyze", "--input", str(wide), "--out-dir", str(tmp_path / "t")])
+    assert code == 2
+    assert "line 2: field larger than field limit (131072)" in capsys.readouterr().err
     # an output directory that is a file is named, not a traceback
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -1,4 +1,5 @@
 import io
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -114,6 +115,16 @@ def test_parse_log_csv_reports_line_numbers():
     with pytest.raises(LogParseError) as err:
         parse_log(io.StringIO(bad), format="csv")
     assert err.value.line == 4
+    # a field over the csv module's 131,072-character limit names its line
+    huge = CSV_OK.splitlines()[0] + "\nt1,act9,A,2021-01-04T09:00:00Z,ann;" + "b" * 200_000
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO(huge + "\n"), format="csv")
+    assert err.value.line == 2
+    assert str(err.value) == "line 2: field larger than field limit (131072)"
+    # and in the header too
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO("x" * 200_000 + "\n" + CSV_OK), format="csv")
+    assert err.value.line == 1
 
 
 def test_parse_log_jsonl(tmp_path):
@@ -225,6 +236,26 @@ def test_build_frames_places_links_and_counts_weights():
     assert net.frames[0].neighbors("a").get("b", 0) == 2
     assert net.frames[1].neighbors("a").get("c", 0) == 1
     assert net.members == frozenset({"a", "b", "c"})
+
+
+def test_build_frames_is_invariant_under_reordering():
+    rng = random.Random(2024)
+    names = [f"m{i:02d}" for i in range(12)]
+    records = [
+        _team(f"t{i}", rng.sample(names, rng.randint(1, 5)),
+              ts=f"2021-{rng.randint(1, 6):02d}-{rng.randint(1, 28):02d}T00:00:00Z",
+              kind=rng.choice("AB"))
+        for i in range(40)
+    ]
+    spec = spec_for_records(records, window_months=1)
+    links, parts = expand_teams(records), team_participations(records)
+    want = build_frames(links, spec, parts)
+    for _ in range(5):
+        shuffled_links = rng.sample(links, len(links))
+        shuffled_parts = rng.sample(parts, len(parts))
+        got = build_frames(shuffled_links, spec, shuffled_parts)
+        assert got.frames == want.frames
+        assert got.members == want.members
 
 
 def test_build_frames_rejects_outside_span():
