@@ -29,12 +29,16 @@ def edge_class(class_a: str, class_b: str) -> str:
     return "BGE"
 
 
-def class_edge_weights(graph: FrameGraph) -> dict[str, int]:
-    """Collapsed edge weight of each edge class."""
-    weights = {"BBE": 0, "GGE": 0, "BGE": 0}
+def class_edges(graph: FrameGraph) -> tuple[dict[str, int], dict[str, int]]:
+    """Edge count and collapsed edge weight of each edge class, from one
+    pass over the graph's edges."""
+    counts = {"BBE": 0, "GGE": 0, "BGE": 0}
+    weights = dict(counts)
     for a, b, w in graph.edges():
-        weights[edge_class(a[0], b[0])] += w
-    return weights
+        cls = edge_class(a[0], b[0])
+        counts[cls] += 1
+        weights[cls] += w
+    return counts, weights
 
 
 def abstract(
@@ -89,17 +93,9 @@ def abstract(
     return FrameGraph.from_edges(frame.frame_index, crossing, node_of.values())
 
 
-def density(graph: FrameGraph, node_class: str | None = None) -> float:
-    """Edge density 2L / (N (N-1)), by node class or for the whole graph.
-
-    With a class given, only nodes of that class and edges internal to it
-    count.  Graphs with at most one qualifying node have density 0.
-    """
-    if node_class is None:
-        return _density(len(graph), graph.edge_count)
-    n = sum(1 for v in graph.nodes if v[0] == node_class)
-    links = sum(1 for a, b, _w in graph.edges() if a[0] == b[0] == node_class)
-    return _density(n, links)
+def density(graph: FrameGraph) -> float:
+    """Edge density 2L / (N (N-1)) of the whole graph; 0 with at most one node."""
+    return _density(len(graph), graph.edge_count)
 
 
 def _density(n: int, links: int) -> float:
@@ -150,13 +146,13 @@ def betweenness(graph: FrameGraph) -> dict[NodeKey, float]:
     return {v: score[i] * 0.5 for i, v in enumerate(graph.nodes)}
 
 
-def edge_weight_shares(graph: FrameGraph) -> tuple[float, float, float]:
-    """(BBE, GGE, BGE) shares of total collapsed edge weight; they sum to 1.
+def edge_weight_shares(weights: Mapping[str, int]) -> tuple[float, float, float]:
+    """(BBE, GGE, BGE) shares of the total of per-class edge ``weights``, as
+    :func:`class_edges` gives them; they sum to 1.
 
     Raises:
-        ValueError: if the abstract graph has no edges.
+        ValueError: if the total weight is 0 (the graph has no edges).
     """
-    weights = class_edge_weights(graph)
     total = sum(weights.values())
     if total == 0:
         raise ValueError("edge-weight shares are undefined without edges")
@@ -164,14 +160,16 @@ def edge_weight_shares(graph: FrameGraph) -> tuple[float, float, float]:
 
 
 def frame_metrics(graph: FrameGraph) -> dict:
-    """One row of per-frame community-level indicators."""
+    """One row of per-frame community-level indicators.
+
+    Besides the :data:`METRIC_COLUMNS`, the row holds ``edge_weights``,
+    the graph's per-class edge weights, which the run sums over frames.
+    """
     bc = [i for i, v in enumerate(graph.nodes) if v[0] == BACKBONE_CLASS]
     gc = [i for i, v in enumerate(graph.nodes) if v[0] == GENERAL_CLASS]
     bc_iso = sum(1 for i in bc if not graph.rows[i])
     gc_iso = sum(1 for i in gc if not graph.rows[i])
-    counts = {"BBE": 0, "GGE": 0, "BGE": 0}
-    for a, b, _w in graph.edges():
-        counts[edge_class(a[0], b[0])] += 1
+    counts, weights = class_edges(graph)
     central = list(betweenness(graph).values())  # in local-id order
     mean_bc = mean(central[i] for i in bc)
     mean_gc = mean(central[i] for i in gc)
@@ -192,9 +190,10 @@ def frame_metrics(graph: FrameGraph) -> dict:
         "density_gc": _density(len(gc), counts["GGE"]),
         "mean_betweenness_bc": mean_bc,
         "mean_betweenness_gc": mean_gc,
+        "edge_weights": weights,
     }
     if graph.edge_count > 0:
-        bbe, gge, bge = edge_weight_shares(graph)
+        bbe, gge, bge = edge_weight_shares(weights)
         row["share_bbe"] = bbe
         row["share_gge"] = gge
         row["share_bge"] = bge

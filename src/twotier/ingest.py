@@ -164,6 +164,8 @@ def _csv_rows(reader) -> Iterator[list[str]]:
 
 
 def _parse_csv(lines: Iterable[str]) -> list[TeamRecord]:
+    """Every error names the physical line on which its record ends,
+    ``reader.line_num``, also when a quoted field holds a newline."""
     reader = csv.reader(lines)
     rows = _csv_rows(reader)
     records = []
@@ -173,18 +175,19 @@ def _parse_csv(lines: Iterable[str]) -> list[TeamRecord]:
     if [h.strip() for h in header] != CSV_HEADER:
         raise LogParseError(
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
-            line=1,
+            line=reader.line_num,
         )
-    for number, row in enumerate(rows, start=2):
+    for row in rows:
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
             raise LogParseError(
-                f"expected {len(CSV_HEADER)} columns, got {len(row)}", line=number
+                f"expected {len(CSV_HEADER)} columns, got {len(row)}",
+                line=reader.line_num,
             )
         fields = dict(zip(CSV_HEADER, row))
         fields["members"] = [m for m in fields["members"].split(";")]
-        records.append(_record(fields, number))
+        records.append(_record(fields, reader.line_num))
     return records
 
 

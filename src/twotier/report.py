@@ -305,8 +305,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     splits runs through :func:`_worker_pool`: tier one's closeness,
     aggregate shells and coverage curves go first, then tier two's
     detections, then each (X, filter)'s frame metrics once its abstract
-    graphs exist.  The metric rows are read last; each block's other
-    results are final as soon as its abstract graphs are built.
+    graphs exist.  The metric rows are read last, and each block's tier-two
+    means and edge weight totals come from them; the block's other results
+    are final as soon as its abstract graphs are built.
     """
     config.validate()
     started = time.perf_counter()
@@ -338,12 +339,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                     fnet, split, detected, work, config, bundle, fdir
                 )
                 x_block["filters"][name] = block
-                result.edge_totals[(x, name)] = block["tier2"]["edge_weight_totals"]
                 pending.append(((x, name), block, rows, fdir))
             result.splits[x], result.profiles[x] = split, profiles
             summary["x"][str(x)] = x_block
         for key, block, rows, fdir in pending:
             result.metrics[key] = _write_metrics(rows(), block, bundle, fdir)
+            result.edge_totals[key] = block["tier2"]["edge_weight_totals"]
     _write_index(bundle, config, summary)
     result.elapsed_seconds = time.perf_counter() - started
     return result
@@ -643,7 +644,8 @@ def _analyze_filter(
     and, submitted to ``work``, its frame metrics.
 
     Returns the pair's summary block, whose ``tier2`` entry lacks the
-    metric means until :func:`_write_metrics` adds them, and the call that
+    metric means and edge weight totals until :func:`_write_metrics` adds
+    them, and the call that
     gives the metric rows.  The abstract graphs are dropped on return.
     """
     block: dict = {}
@@ -674,30 +676,28 @@ def _analyze_filter(
     ]
     abstraction.write_abstract_csv(bundle.path(f"{fdir}/abstract.csv"), agraphs)
     rows = work.submit("frame_rows", agraphs)
-    totals = {"BBE": 0, "GGE": 0, "BGE": 0}
-    for agraph in agraphs:
-        for cls, weight in abstraction.class_edge_weights(agraph).items():
-            totals[cls] += weight
-    weight_sum = sum(totals.values())
     block["event_shares"] = evolution.event_shares(events)
-    block["tier2"] = {
-        "edge_weight_totals": totals,
-        "edge_weight_shares": (
-            {cls: totals[cls] / weight_sum for cls in sorted(totals)}
-            if weight_sum
-            else None
-        ),
-        "frames_with_edges": sum(1 for g in agraphs if g.edge_count),
-    }
+    block["tier2"] = {"frames_with_edges": sum(1 for g in agraphs if g.edge_count)}
     return block, rows
 
 
 def _write_metrics(rows, block: dict, bundle: _Bundle, fdir: str) -> list[dict]:
     """Write one (X, filter) pair's frame metric rows and add their means
-    to the pair's ``tier2`` block; returns the rows."""
+    and edge weight totals to the pair's ``tier2`` block; returns the rows."""
     abstraction.write_metrics_csv(bundle.path(f"{fdir}/metrics.csv"), rows)
+    totals = {"BBE": 0, "GGE": 0, "BGE": 0}
+    for row in rows:
+        for cls, weight in row["edge_weights"].items():
+            totals[cls] += weight
+    weight_sum = sum(totals.values())
     block["tier2"].update(
         {
+            "edge_weight_totals": totals,
+            "edge_weight_shares": (
+                {cls: totals[cls] / weight_sum for cls in sorted(totals)}
+                if weight_sum
+                else None
+            ),
             "mean_density_bc": mean(r["density_bc"] for r in rows),
             "mean_density_gc": mean(r["density_gc"] for r in rows),
             "mean_betweenness_bc": mean(r["mean_betweenness_bc"] for r in rows),

@@ -8,7 +8,7 @@ import pytest
 from twotier.abstraction import (
     abstract,
     betweenness,
-    class_edge_weights,
+    class_edges,
     density,
     edge_class,
     edge_weight_shares,
@@ -51,8 +51,9 @@ def test_abstract_collapses_and_hides_intra_links():
     gsn = {"g1": 0, "g2": 0, "g3": 1}
     ag = abstract(frame, bsn, gsn)
     assert len(ag) == 4
-    weights = class_edge_weights(ag)
+    counts, weights = class_edges(ag)
     assert weights == {"BBE": 2, "GGE": 0, "BGE": 5}
+    assert counts == {"BBE": 1, "GGE": 0, "BGE": 2}
     # hidden edges do not appear anywhere
     assert ag.edge_count == 3
 
@@ -145,10 +146,11 @@ def test_density_by_class_counts_internal_edges_only():
         (("GC", 0), ("GC", 1), 1),
         (("BC", 0), ("GC", 0), 7),
     ])
-    assert density(ag, "BC") == 1.0
-    assert density(ag, "GC") == 1.0
+    row = frame_metrics(ag)
+    assert row["density_bc"] == 1.0
+    assert row["density_gc"] == 1.0
     ag2 = _agraph(3, 2, [(("BC", 0), ("BC", 1), 1)])
-    assert density(ag2, "BC") == pytest.approx(1 / 3)
+    assert frame_metrics(ag2)["density_bc"] == pytest.approx(1 / 3)
 
 
 def test_betweenness_closed_forms():
@@ -220,12 +222,12 @@ def test_edge_weight_shares():
         (("GC", 0), ("GC", 1), 1),
         (("BC", 0), ("GC", 0), 3),
     ])
-    bbe, gge, bge = edge_weight_shares(ag)
+    bbe, gge, bge = edge_weight_shares(class_edges(ag)[1])
     assert bbe == pytest.approx(0.6)
     assert gge == pytest.approx(0.1)
     assert bge == pytest.approx(0.3)
     with pytest.raises(ValueError):
-        edge_weight_shares(_agraph(2, 0, []))
+        edge_weight_shares(class_edges(_agraph(2, 0, []))[1])
 
 
 def test_frame_metrics_row():
@@ -241,6 +243,7 @@ def test_frame_metrics_row():
     assert row["n_gc_isolated"] == 1
     assert row["density_bc"] == 1.0
     assert row["share_bbe"] == pytest.approx(2 / 3)
+    assert row["edge_weights"] == {"BBE": 2, "GGE": 0, "BGE": 1}
 
 
 def test_metrics_csv_handles_missing_values(tmp_path):

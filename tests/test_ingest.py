@@ -125,6 +125,18 @@ def test_parse_log_csv_reports_line_numbers():
     with pytest.raises(LogParseError) as err:
         parse_log(io.StringIO("x" * 200_000 + "\n" + CSV_OK), format="csv")
     assert err.value.line == 1
+    # a quoted field holding a newline spans two physical lines, and later
+    # errors name the physical line
+    spanning = CSV_OK.replace("act3", '"act\n3"')
+    assert [r.activity_id for r in parse_log(io.StringIO(spanning), format="csv")] == [
+        "act9", "act\n3"]
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO(spanning + "t3,act1,C,2021-01-21T00:00:00Z,eve;fay\n"),
+                  format="csv")
+    assert err.value.line == 5
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO(spanning + "t3,act1\n"), format="csv")
+    assert err.value.line == 5
 
 
 def test_parse_log_jsonl(tmp_path):
