@@ -645,8 +645,8 @@ def _analyze_filter(
 
     Returns the pair's summary block, whose ``tier2`` entry lacks the
     metric means and edge weight totals until :func:`_write_metrics` adds
-    them, and the call that
-    gives the metric rows.  The abstract graphs are dropped on return.
+    them, and the call that gives the metric rows.  The abstract graphs
+    are dropped on return.
     """
     block: dict = {}
     partitions, events = {}, {}
