@@ -17,6 +17,7 @@ index, and the results are read back in task order.
 from __future__ import annotations
 
 import csv
+import io
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain
@@ -274,13 +275,35 @@ EDGE_COLUMNS = ["frame", "node_a", "node_b", "weight"]
 
 
 def write_edge_csv(path, frames: Iterable[FrameGraph]) -> None:
-    """Dump frames as ``frame,node_a,node_b,weight`` rows, sorted."""
+    """Dump frames as ``frame,node_a,node_b,weight`` rows, sorted.
+
+    The bytes are those of one ``csv.writer`` row per edge, but each node
+    name is rendered by the writer once, and each frame's rows are joined
+    into one write.
+    """
+    cell = io.StringIO()
+    render = csv.writer(cell)
+    cells: dict[str, str] = {}
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(EDGE_COLUMNS)
+        csv.writer(handle).writerow(EDGE_COLUMNS)
         for frame in frames:
-            for u, v, w in frame.edges():
-                writer.writerow([frame.frame_index, u, v, w])
+            names = []
+            for node in frame.nodes:
+                if node not in cells:
+                    # the name as the second field of a row, so that an
+                    # empty name is not quoted as a lone empty field is
+                    cell.seek(0)
+                    cell.truncate()
+                    render.writerow(("", node))
+                    cells[node] = cell.getvalue()[1:-2]
+                names.append(cells[node])
+            t = frame.frame_index
+            handle.write("".join(
+                f"{t},{names[i]},{names[j]},{w}\r\n"
+                for i, row in enumerate(frame.rows)
+                for j, w in row.items()
+                if i < j
+            ))
 
 
 def read_edge_csv(path) -> dict[int, FrameGraph]:

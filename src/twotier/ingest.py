@@ -117,7 +117,10 @@ def load_log(path, format: str | None = None) -> list[TeamRecord]:
         return parse_log(handle, format)
 
 
-def _record(fields: dict, line: int) -> TeamRecord:
+def _record(fields: dict, line: int, names: dict[str, str]) -> TeamRecord:
+    """One checked record from a row's fields.  ``names`` is the parse's
+    member name table: every record of one parse holds the same ``str``
+    object for a given name."""
     for key in ("team_id", "activity_id", "activity_type", "timestamp"):
         value = fields.get(key)
         if not isinstance(value, str) or not value.strip():
@@ -141,7 +144,8 @@ def _record(fields: dict, line: int) -> TeamRecord:
     for item in members:
         if not isinstance(item, str) or not item.strip():
             raise LogParseError("blank member id", line=line, field="members")
-        cleaned.append(item.strip())
+        name = item.strip()
+        cleaned.append(names.setdefault(name, name))
     try:
         return TeamRecord(
             team_id=fields["team_id"].strip(),
@@ -169,6 +173,7 @@ def _parse_csv(lines: Iterable[str]) -> list[TeamRecord]:
     reader = csv.reader(lines)
     rows = _csv_rows(reader)
     records = []
+    names: dict[str, str] = {}
     header = next(rows, None)
     if header is None:
         return records
@@ -187,12 +192,13 @@ def _parse_csv(lines: Iterable[str]) -> list[TeamRecord]:
             )
         fields = dict(zip(CSV_HEADER, row))
         fields["members"] = [m for m in fields["members"].split(";")]
-        records.append(_record(fields, reader.line_num))
+        records.append(_record(fields, reader.line_num, names))
     return records
 
 
 def _parse_jsonl(lines: Iterable[str]) -> list[TeamRecord]:
     records = []
+    names: dict[str, str] = {}
     for number, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text:
@@ -203,7 +209,7 @@ def _parse_jsonl(lines: Iterable[str]) -> list[TeamRecord]:
             raise LogParseError(f"invalid JSON: {exc}", line=number) from None
         if not isinstance(payload, dict):
             raise LogParseError("row is not a JSON object", line=number)
-        records.append(_record(payload, number))
+        records.append(_record(payload, number, names))
     return records
 
 

@@ -14,6 +14,7 @@ import os
 import re
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -191,20 +192,16 @@ class ProfileRow:
     avg_active_frames: float | None
 
 
-def _member_stats(records, table: kshell.InfluenceTable, closeness_values: Mapping):
+def _member_stats(teams, table: kshell.InfluenceTable, closeness_values: Mapping):
     """One ``{member: value}`` column per statistic: aggregate degree,
-    closeness, type A and type B teams joined, and frames present in."""
-    type_a = dict.fromkeys(table.total, 0)
-    type_b = dict.fromkeys(table.total, 0)
-    for record in records:
-        column = type_a if record.activity_type is ActivityType.A else type_b
-        for member in record.members:
-            column[member] += 1
+    closeness, type A and type B teams joined, and frames present in.
+    ``teams`` maps each activity type to a ``Counter`` of its teams per
+    member, which reads 0 for a member without one."""
     return {
         "degree": table.tiebreak_degree,
         "closeness": {m: closeness_values.get(m, 0.0) for m in table.total},
-        "type_a": type_a,
-        "type_b": type_b,
+        "type_a": teams[ActivityType.A],
+        "type_b": teams[ActivityType.B],
         "active": table.active,
     }
 
@@ -314,23 +311,21 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     bundle = _Bundle(Path(config.out_dir))
     bundle.remove_previous()
     records, spec, source = _acquire(config, bundle)
-    networks, network_block = _build_networks(records, spec, config)
-    agg = aggregate(networks["full"])
-    table = kshell.dynamic_influence(networks["full"], agg)
-    splits = {x: kshell.select_backbone(table, x) for x in config.x_values}
-    with _worker_pool(config, networks, splits, agg, table) as work:
+    networks, network_block, teams = _build_networks(records, spec, config)
+    del records  # the networks and the team counts hold all that is read later
+    with _worker_pool(_Work(config, networks)) as work:
         # a pool starts work in submission order, so the kernels whose
         # results are read first start before the detections
         kernels = [work.submit(step) for step in _TIER_ONE]
         detected = work.detections()
         _write_networks(networks, bundle)
         member_stats, tier_one = _tier_one(
-            records, table, *(read() for read in kernels), bundle
+            teams, work.table, *work.read_tier_one(kernels), bundle
         )
         summary = {"source": source, "network": network_block, **tier_one, "x": {}}
         result = PipelineResult(bundle.root, summary, networks["full"])
         pending = []
-        for x, split in splits.items():
+        for x, split in work.splits.items():
             xdir = f"x{x}"
             profiles, x_block = _profile_backbone(split, member_stats, bundle, xdir)
             for name, fnet in networks.items():
@@ -373,26 +368,29 @@ def _acquire(config: PipelineConfig, bundle: _Bundle):
 
 
 def _build_networks(records, spec, config: PipelineConfig):
-    """Frame networks by filter ("full" first, then the typed ones) and the
-    summary's network block."""
+    """Frame networks by filter ("full" first, then the typed ones), the
+    summary's network block, and per activity type each member's count of
+    teams, the one thing read from the records after this."""
     links = expand_teams(records)
     participations = team_participations(records)
     networks = {"full": build_frames(links, spec, participations)}
     for name in config.filters[1:]:
         networks[name] = typed_network(links, spec, name, participations)
-    activity_ids = {"A": set(), "B": set()}
+    activity_ids = {kind: set() for kind in ActivityType}
+    teams = {kind: Counter() for kind in ActivityType}
     for record in records:
-        activity_ids[record.activity_type.value].add(record.activity_id)
+        activity_ids[record.activity_type].add(record.activity_id)
+        teams[record.activity_type].update(record.members)
     block = {
         "members": len(networks["full"].members),
         "frames": networks["full"].frame_count,
         "teams": len(records),
         "links": len(links),
-        "activities_a": len(activity_ids["A"]),
-        "activities_b": len(activity_ids["B"]),
+        "activities_a": len(activity_ids[ActivityType.A]),
+        "activities_b": len(activity_ids[ActivityType.B]),
         "frame_spec": spec.describe(),
     }
-    return networks, block
+    return networks, block, teams
 
 
 def _write_networks(networks, bundle: _Bundle) -> None:
@@ -402,7 +400,7 @@ def _write_networks(networks, bundle: _Bundle) -> None:
         write_edge_csv(bundle.path(f"network/frames{suffix}.csv"), net.frames)
 
 
-def _tier_one(records, table: kshell.InfluenceTable, closeness_values,
+def _tier_one(teams, table: kshell.InfluenceTable, closeness_values,
               aggregate_shells, dwks_curve, bundle: _Bundle):
     """The rest of tier one on the full network, once its kernels' results
     are in (see :class:`_Work`): per-member statistics, ``influence.csv``
@@ -413,7 +411,7 @@ def _tier_one(records, table: kshell.InfluenceTable, closeness_values,
     """
     shell_counts, aggregate_curve = aggregate_shells
     curves = {"dwks": dwks_curve, "wks_aggregate": aggregate_curve}
-    member_stats = _member_stats(records, table, closeness_values)
+    member_stats = _member_stats(teams, table, closeness_values)
     kshell.write_influence_csv(bundle.path("network/influence.csv"), table)
     kshell.write_coverage_csv(bundle.path("network/coverage.csv"), curves)
     blocks = {
@@ -480,8 +478,9 @@ _TIER_ONE = ("closeness", "aggregate_shells", "dwks_curve")
 
 class _Work:
     """The analysis steps that may run on worker processes, and what they
-    read: the frame networks, the splits, the aggregate graph and the
-    influence table.
+    read: the frame networks, the aggregate graph, the influence table and
+    the backbone splits.  The last three are built here from the full
+    network, so that this object alone holds the aggregate graph.
 
     A worker inherits this object at fork, so only step names, task keys,
     abstract graphs and small results cross processes.  Every step gives
@@ -489,18 +488,18 @@ class _Work:
     run's seed, the side and the frame index.
     """
 
-    def __init__(self, config: PipelineConfig, networks, splits, agg, table) -> None:
+    def __init__(self, config: PipelineConfig, networks) -> None:
         self.seed = config.seed
         self.curve_x = config.curve_x
         self.networks = networks
-        self.splits = splits
-        self.agg = agg
-        self.table = table
+        self.agg = aggregate(networks["full"])
+        self.table = kshell.dynamic_influence(networks["full"], self.agg)
+        self.splits = {x: kshell.select_backbone(self.table, x) for x in config.x_values}
         #: detection tasks, one per (X, filter, side, frame), in the order
         #: ``_analyze_filter`` reads them
         self.tasks = [
             (x, name, side, t)
-            for x in splits
+            for x in self.splits
             for name, fnet in networks.items()
             for side in range(len(_SIDES))
             for t in range(fnet.frame_count)
@@ -515,6 +514,14 @@ class _Work:
             value = getattr(self, step)(*args)
             return lambda: value
         return self.pool.submit(_in_worker, step, *args).result
+
+    def read_tier_one(self, kernels) -> list:
+        """The results of tier one's kernels, submitted in ``_TIER_ONE``
+        order.  The aggregate graph, which only they read, is dropped once
+        they are in; a worker forked after that never needs it."""
+        results = [read() for read in kernels]
+        self.agg = None
+        return results
 
     def detections(self) -> Iterator:
         """The results of every detection task, in task order.
@@ -583,9 +590,9 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _worker_pool(config: PipelineConfig, networks, splits, agg, table) -> Iterator[_Work]:
-    """The analysis steps after the backbone split, as a :class:`_Work`
-    that runs them on worker processes or in this process.
+def _worker_pool(work: _Work) -> Iterator[_Work]:
+    """``work``, the analysis steps after the backbone split, set to run
+    them on worker processes or in this process.
 
     With :func:`pool_workers` above 0, the steps go to a ``fork`` pool
     whose workers inherit the work; the pool takes items in submission
@@ -595,9 +602,8 @@ def _worker_pool(config: PipelineConfig, networks, splits, agg, table) -> Iterat
     Otherwise each step runs here.  A worker's exception is raised when its
     result is read; a worker that dies raises ``BrokenProcessPool``.
     """
-    work = _Work(config, networks, splits, agg, table)
-    edges = sum(f.edge_count for f in networks["full"].frames)
-    blocks = len(splits) * len(networks)
+    edges = sum(f.edge_count for f in work.networks["full"].frames)
+    blocks = len(work.splits) * len(work.networks)
     items = len(_TIER_ONE) + blocks * len(_SIDES) + blocks
     # a fork copies no thread but every lock, so a lock that another thread
     # of the caller holds would stay locked in the workers

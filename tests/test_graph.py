@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import networkx as nx
@@ -227,3 +229,27 @@ def test_edge_csv_round_trip(tmp_path):
     assert set(back) == {0, 1}
     assert list(back[0].edges()) == list(f0.edges())
     assert list(back[1].edges()) == list(f1.edges())
+
+
+def test_edge_csv_writes_one_csv_writer_row_per_edge(tmp_path):
+    # names the writer must quote, an empty one, and names that sort apart
+    names = ["", "a,b", 'say "hi"', "new\nline", "cr\rx", " lead", "é2", "m10", "m9", "M1"]
+    rng = random.Random(5)
+    frames = [
+        FrameGraph.from_edges(
+            t,
+            [(u, v, rng.randint(1, 9)) for u in names for v in names
+             if u < v and rng.random() < 0.5],
+            names[:t + 3],
+        )
+        for t in range(3)
+    ]
+    reference = io.StringIO()
+    writer = csv.writer(reference)
+    writer.writerow(["frame", "node_a", "node_b", "weight"])
+    for frame in frames:
+        for u, v, w in frame.edges():
+            writer.writerow([frame.frame_index, u, v, w])
+    path = tmp_path / "frames.csv"
+    write_edge_csv(path, frames)
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -149,6 +150,39 @@ def test_parse_log_jsonl(tmp_path):
     path = tmp_path / "bom.jsonl"
     path.write_text("\ufeff" + text, encoding="utf-8")
     assert load_log(path) == records
+
+
+def test_parse_log_shares_one_string_per_member_name():
+    # members in several teams, and names that sort apart or differ only in
+    # case or script; " m1 " strips to "m1"
+    teams = [
+        ("t1", "A", ["m9", "m10", "M1"]),
+        ("t2", "B", ["m1", "m10", "é2"]),
+        ("t3", "A", ["é2", "m9", " m1 ", "M1"]),
+    ]
+    stamp = "2021-01-04T09:00:00Z"
+    csv_text = "team_id,activity_id,activity_type,timestamp,members\n" + "".join(
+        f"{team},act1,{kind},{stamp},{';'.join(members)}\n" for team, kind, members in teams
+    )
+    jsonl_text = "".join(
+        json.dumps({"team_id": team, "activity_id": "act1", "activity_type": kind,
+                    "timestamp": stamp, "members": members}) + "\n"
+        for team, kind, members in teams
+    )
+    # each member name built afresh, so no string is shared between records
+    expected = [
+        TeamRecord(team, "act1", kind, parse_timestamp(stamp),
+                   tuple("".join(list(m.strip())) for m in members))
+        for team, kind, members in teams
+    ]
+    for text, fmt in ((csv_text, "csv"), (jsonl_text, "jsonl")):
+        records = parse_log(io.StringIO(text), format=fmt)
+        assert records == expected
+        names = [m for record in records for m in record.members]
+        one = {}
+        assert all(one.setdefault(m, m) is m for m in names)
+        assert sorted(one) == ["M1", "m1", "m10", "m9", "é2"]
+        assert len({id(m) for m in names}) == 5
 
 
 def test_parse_log_jsonl_bad_members():

@@ -12,6 +12,8 @@ import warnings
 import pytest
 
 from twotier import cli, community, report
+from twotier.graph import AGGREGATE_FRAME, FrameGraph
+from twotier.ingest import TeamRecord
 from twotier.report import PipelineConfig, pool_workers, run_pipeline
 
 needs_fork = pytest.mark.skipif(
@@ -193,3 +195,28 @@ def test_threaded_caller_stays_in_process(tmp_path, monkeypatch):
         waiting.join(timeout=60)
     assert not waiting.is_alive()
     assert chosen == [0]
+
+
+@pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=needs_fork)])
+def test_tier_two_runs_without_team_records_or_aggregate(tmp_path, monkeypatch, pooled):
+    """By tier two, this process holds no team record and no aggregate
+    graph: the networks and team counts replace the records, and tier
+    one's kernels were the aggregate's last readers."""
+    chosen = _force_pool(monkeypatch) if pooled else []
+    analyze = report._analyze_filter
+    held = set()
+
+    def scanned(*args):
+        gc.collect()
+        held.update(
+            type(o).__name__ for o in gc.get_objects()
+            if isinstance(o, TeamRecord)
+            or isinstance(o, FrameGraph) and o.frame_index == AGGREGATE_FRAME
+        )
+        return analyze(*args)
+
+    monkeypatch.setattr(report, "_analyze_filter", scanned)
+    run_pipeline(PipelineConfig(preset="small", x_values=(10,), curve_x=(10,),
+                                out_dir=str(tmp_path)))
+    assert chosen == ([2] if pooled else [])
+    assert held == set()
