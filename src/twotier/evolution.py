@@ -17,6 +17,7 @@ apart from a brand-new formation.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
@@ -378,10 +379,10 @@ def event_shares(
             continue
         row: dict = {"events": total}
         by_attr = {"V": 0, "S": 0, "-": 0}
+        counts = Counter(e.kind for e in events)
         for kind in EventKind:
-            count = sum(1 for e in events if e.kind is kind)
-            row[kind.value] = 100.0 * count / total
-            by_attr[ATTRIBUTE[kind]] += count
+            row[kind.value] = 100.0 * counts[kind] / total
+            by_attr[ATTRIBUTE[kind]] += counts[kind]
         row["V_share"] = 100.0 * by_attr["V"] / total
         row["S_share"] = 100.0 * by_attr["S"] / total
         row["none_share"] = 100.0 * by_attr["-"] / total

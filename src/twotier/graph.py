@@ -11,7 +11,7 @@ closeness, aggregate shells and coverage curves and tier two's
 restrictions, community detections and frame metrics run on forked worker
 processes, and the runs stay bit-reproducible: each detection's seed
 depends only on the configured seed, the side of the split and the frame
-index, and the results are read back in task order.
+index, and the results are read back by (X, filter, side).
 """
 
 from __future__ import annotations

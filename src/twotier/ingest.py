@@ -102,8 +102,9 @@ def parse_log(source: IO[str], format: str = "csv") -> list[TeamRecord]:
 
 
 def infer_format(path) -> str:
-    """Log encoding implied by the file suffix: jsonl-ish or csv."""
-    return "jsonl" if str(path).endswith((".jsonl", ".ndjson", ".json")) else "csv"
+    """Log encoding implied by the file suffix, in any case: jsonl-ish or csv."""
+    suffixes = (".jsonl", ".ndjson", ".json")
+    return "jsonl" if str(path).lower().endswith(suffixes) else "csv"
 
 
 def load_log(path, format: str | None = None) -> list[TeamRecord]:

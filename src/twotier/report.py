@@ -317,7 +317,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         # a pool starts work in submission order, so the kernels whose
         # results are read first start before the detections
         kernels = [work.submit(step) for step in _TIER_ONE]
-        detected = work.detections()
+        detections = work.detections()
         _write_networks(networks, bundle)
         member_stats, tier_one = _tier_one(
             teams, work.table, *work.read_tier_one(kernels), bundle
@@ -330,6 +330,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             profiles, x_block = _profile_backbone(split, member_stats, bundle, xdir)
             for name, fnet in networks.items():
                 fdir = f"{xdir}/{name}"
+                # popped, so a block's results are freed once it is analysed
+                detected = {side: detections.pop((x, name, side)) for side in _SIDES}
                 block, rows = _analyze_filter(
                     fnet, split, detected, work, config, bundle, fdir
                 )
@@ -444,7 +446,7 @@ def _profile_backbone(split, member_stats, bundle: _Bundle, xdir: str):
 
 #: Sides of the backbone split, each with its members' field in
 #: ``BackboneSplit`` and the offset of its detection seed from the run's.
-_SIDES = (("bsn", "backbone", 0), ("gsn", "general", 500009))
+_SIDES = {"bsn": ("backbone", 0), "gsn": ("general", 500009)}
 
 #: Fewest edges, summed over the full network's frames, for which the steps
 #: after the backbone split run on worker processes.  Median wall time of
@@ -482,7 +484,7 @@ class _Work:
     the backbone splits.  The last three are built here from the full
     network, so that this object alone holds the aggregate graph.
 
-    A worker inherits this object at fork, so only step names, task keys,
+    A worker inherits this object at fork, so only step names, block keys,
     abstract graphs and small results cross processes.  Every step gives
     the same result in any process: a detection's seed depends only on the
     run's seed, the side and the frame index.
@@ -495,15 +497,6 @@ class _Work:
         self.agg = aggregate(networks["full"])
         self.table = kshell.dynamic_influence(networks["full"], self.agg)
         self.splits = {x: kshell.select_backbone(self.table, x) for x in config.x_values}
-        #: detection tasks, one per (X, filter, side, frame), in the order
-        #: ``_analyze_filter`` reads them
-        self.tasks = [
-            (x, name, side, t)
-            for x in self.splits
-            for name, fnet in networks.items()
-            for side in range(len(_SIDES))
-            for t in range(fnet.frame_count)
-        ]
         self.pool = None  # set by _worker_pool when the steps run on workers
 
     def submit(self, step: str, *args):
@@ -523,29 +516,33 @@ class _Work:
         self.agg = None
         return results
 
-    def detections(self) -> Iterator:
-        """The results of every detection task, in task order.
+    def detections(self) -> dict:
+        """A call per (X, filter, side) that gives that block's detections.
 
-        On the pool, one work item per (X, filter, side): every filter
-        network has the full network's frames, so a chunk of that many
-        tasks is exactly one ``community.detect_all`` input.  Without a
-        pool, each task runs when its result is read.
+        On the pool, the blocks are submitted here, in key order.  Without
+        a pool, a block runs when its call is made, so that its work falls
+        inside the ``community.detect_all`` that reads it.
         """
+        keys = [(x, name, side) for x in self.splits for name in self.networks
+                for side in _SIDES]
         if self.pool is None:
-            return map(self.detect, self.tasks)
-        frames = self.networks["full"].frame_count
-        return self.pool.map(partial(_in_worker, "detect"), self.tasks, chunksize=frames)
+            return {key: partial(self.detect, *key) for key in keys}
+        return {key: self.submit("detect", *key) for key in keys}
 
-    def detect(self, task) -> tuple[list[int], float, bool]:
-        """Restrict one frame to one side's members and run
-        :func:`community.detect_local` on it with the frame's seed; only
-        labels, Q and the degenerate flag are returned."""
-        x, name, side, t = task
-        _name, field_name, offset = _SIDES[side]
-        frame = self.networks[name].frames[t]
-        sub = frame.restrict(getattr(self.splits[x], field_name))
-        seed = community.frame_seed(self.seed + offset, frame.frame_index)
-        return community.detect_local(sub.rows, sub.strengths, sub.total_weight, seed)
+    def detect(self, x, name: str, side: str) -> list[tuple[list[int], float, bool]]:
+        """Restrict each frame of filter ``name`` to one side's members and
+        run :func:`community.detect_local` on it with the frame's seed;
+        per frame, only labels, Q and the degenerate flag are returned."""
+        field_name, offset = _SIDES[side]
+        members = getattr(self.splits[x], field_name)
+        results = []
+        for frame in self.networks[name].frames:
+            sub = frame.restrict(members)
+            seed = community.frame_seed(self.seed + offset, frame.frame_index)
+            results.append(
+                community.detect_local(sub.rows, sub.strengths, sub.total_weight, seed)
+            )
+        return results
 
     def closeness(self) -> dict[str, float]:
         return closeness_all(self.agg)
@@ -629,13 +626,11 @@ def _worker_pool(work: _Work) -> Iterator[_Work]:
         work.pool.shutdown(cancel_futures=True)
 
 
-def _partitions(frames, members, detected):
-    """Each frame's partition of its restriction to ``members``: the next
-    detection result's labels, zipped with the restriction's sorted nodes.
-
-    ``zip`` reads a frame before a result, so exactly one result is read
-    per frame."""
-    for frame, (labels, q, degenerate) in zip(frames, detected):
+def _partitions(frames, members, detect):
+    """Each frame's partition of its restriction to ``members``: the frame's
+    result from ``detect()``, its labels zipped with the restriction's
+    sorted nodes."""
+    for frame, (labels, q, degenerate) in zip(frames, detect(), strict=True):
         nodes = [u for u in frame.nodes if u in members]
         assignment = dict(zip(nodes, labels))
         yield community.Partition(frame.frame_index, assignment, q, degenerate)
@@ -645,9 +640,10 @@ def _analyze_filter(
     fnet, split, detected, work: _Work, config: PipelineConfig, bundle: _Bundle,
     fdir: str,
 ):
-    """Tier two for one (X, filter) pair: communities of each side, read
-    from ``detected``, their evolution, the community-level abstraction
-    and, submitted to ``work``, its frame metrics.
+    """Tier two for one (X, filter) pair: communities of each side, from
+    the detections that the call ``detected[side]`` gives, their evolution,
+    the community-level abstraction and, submitted to ``work``, its frame
+    metrics.
 
     Returns the pair's summary block, whose ``tier2`` entry lacks the
     metric means and edge weight totals until :func:`_write_metrics` adds
@@ -656,9 +652,9 @@ def _analyze_filter(
     """
     block: dict = {}
     partitions, events = {}, {}
-    for side, field_name, _offset in _SIDES:
+    for side, (field_name, _offset) in _SIDES.items():
         members = getattr(split, field_name)
-        parts = community.detect_all(_partitions(fnet.frames, members, detected))
+        parts = community.detect_all(_partitions(fnet.frames, members, detected[side]))
         community.write_partition_csv(
             bundle.path(f"{fdir}/partitions_{side}.csv"), parts.partitions
         )

@@ -19,3 +19,13 @@ def test_traced_benchmark_hooks_resolve():
         if not callable(owner):
             missing.append(f"twotier.{module_name}.{attribute}")
     assert not missing, f"traced benchmark hooks no longer resolve: {missing}"
+
+
+def test_report_calls_ingest_build_frames_by_its_imported_name():
+    """The harness self-check checks that the tracer wraps and restores
+    ``twotier.report.build_frames``, the name the pipeline calls; that name
+    must stay bound to ingest's function."""
+    import twotier.ingest
+    import twotier.report
+
+    assert twotier.report.build_frames is twotier.ingest.build_frames

@@ -13,6 +13,7 @@ from twotier.ingest import (
     add_months,
     build_frames,
     expand_teams,
+    infer_format,
     load_log,
     parse_log,
     parse_timestamp,
@@ -150,6 +151,13 @@ def test_parse_log_jsonl(tmp_path):
     path = tmp_path / "bom.jsonl"
     path.write_text("\ufeff" + text, encoding="utf-8")
     assert load_log(path) == records
+
+
+def test_infer_format_ignores_suffix_case():
+    for name in ("log.jsonl", "LOG.JSONL", "log.NDJSON", "log.Json", "dir.csv/log.jsonl"):
+        assert infer_format(name) == "jsonl"
+    for name in ("log.csv", "LOG.CSV", "log.txt", "log", "log.jsonl.csv"):
+        assert infer_format(name) == "csv"
 
 
 def test_parse_log_shares_one_string_per_member_name():

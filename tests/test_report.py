@@ -230,15 +230,17 @@ def test_pipeline_infers_jsonl_from_suffix(tmp_path):
     from twotier.synth import generate, small_preset, write_log_jsonl
 
     records, _ = generate(small_preset(33))
-    log = tmp_path / "events.jsonl"
-    write_log_jsonl(log, records)
-    cfg = PipelineConfig(input=str(log), preset=None, window="3m",
-                         x_values=(20,), curve_x=(10,),
-                         out_dir=str(tmp_path / "out"))
-    result = run_pipeline(cfg)
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["source"]["format"] == "jsonl"
-    assert result.summary["network"]["teams"] == len(records)
+    # the suffix is read in any case
+    for name, out in (("events.jsonl", "out"), ("EVENTS.JSONL", "out_upper")):
+        log = tmp_path / name
+        write_log_jsonl(log, records)
+        cfg = PipelineConfig(input=str(log), preset=None, window="3m",
+                             x_values=(20,), curve_x=(10,),
+                             out_dir=str(tmp_path / out))
+        result = run_pipeline(cfg)
+        summary = json.loads((tmp_path / out / "summary.json").read_text())
+        assert summary["source"]["format"] == "jsonl"
+        assert result.summary["network"]["teams"] == len(records)
 
 
 def test_pipeline_needs_no_numpy_or_scipy(tmp_path, monkeypatch):

@@ -77,10 +77,38 @@ def test_pool_workers_never_exceed_cpus_or_tasks():
 
 
 def test_small_preset_stays_in_process(tmp_path):
-    """Its traced run then charges restrict and detect as before."""
+    """Its traced run then charges Louvain to ``community.detect_s``, as
+    test_in_process_detections_run_inside_detect_all checks."""
     result = run_pipeline(PipelineConfig(preset="small", x_values=(10,),
                                          curve_x=(10,), out_dir=str(tmp_path)))
     assert sum(f.edge_count for f in result.network.frames) < report._POOL_MIN_EDGES
+
+
+def test_in_process_detections_run_inside_detect_all(tmp_path, monkeypatch):
+    """Without a pool, every Louvain run happens while a
+    ``community.detect_all`` call is active, so a traced run charges it to
+    ``community.detect_s`` rather than to no span at all."""
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 1)
+    detect_all, detect_local = community.detect_all, community.detect_local
+    active, inside = [], []
+
+    def reading(*args, **kwargs):
+        active.append(True)
+        try:
+            return detect_all(*args, **kwargs)
+        finally:
+            active.pop()
+
+    def detecting(*args, **kwargs):
+        inside.append(bool(active))
+        return detect_local(*args, **kwargs)
+
+    monkeypatch.setattr(community, "detect_all", reading)
+    monkeypatch.setattr(community, "detect_local", detecting)
+    result = run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
+    # per X, filter, side and frame
+    assert len(inside) == 3 * 3 * 2 * result.network.frame_count
+    assert all(inside)
 
 
 @needs_fork
