@@ -372,71 +372,57 @@ def spec_for_records(
 
 
 def build_frames(
-    links: Sequence[tuple[str, str, TeamRecord]],
+    records: Iterable[TeamRecord],
     spec: FrameSpec,
-    participations: Sequence[tuple[str, TeamRecord]] | None = None,
-) -> DynamicNetwork:
-    """Assemble the dynamic network from links and (optionally) participations.
+    kinds: Iterable[ActivityType | str] = (),
+) -> dict[str, DynamicNetwork]:
+    """The dynamic networks of the team records, by filter name: ``"full"``
+    over every team, then one per activity type in ``kinds``, keyed by the
+    type's value (``"A"``, ``"B"``), over that type's teams only.
 
-    ``links`` holds ``(member_a, member_b, team)`` triples and
-    ``participations`` ``(member, team)`` pairs, as ``expand_teams`` and
-    ``team_participations`` return them; each lands in the frame of its
-    team's timestamp.  Each link adds ``(member_a, member_b, 1)`` to its
-    frame, and ``FrameGraph.from_edges`` builds each frame from those
-    triples, so pair weights count links between the pair inside the frame.
-    Every participant is registered in the frame of their team, even
-    without links.  The result is invariant under input reordering.  A
-    team's frame is looked up once per run of its links or participations.
+    The teams are grouped by the frame of their timestamp, one
+    ``spec.frame_of`` per team.  Each frame's teams are then expanded
+    (``expand_teams``, ``team_participations``) and dropped, so no list of
+    links outlives its frame.  Each link ``(member_a, member_b, team)`` adds
+    ``(member_a, member_b, 1)`` to its frame, and ``FrameGraph.from_edges``
+    builds each frame from those triples, so pair weights count links
+    between the pair inside the frame.  Every participant is registered in
+    the frame of their team, even without links.  The result is invariant
+    under input reordering.
 
     Raises:
         ValueError: if any timestamp falls outside the spec's span; the
-            message names the offending link or participation and its team.
+            message names the offending team.
     """
-    by_frame: list[list[tuple[str, str, TeamRecord]]] = [[] for _ in range(spec.frame_count)]
-    last = None  # the team whose frame ``t`` holds
-    for link in links:
-        a, b, team = link
-        if team is not last:
-            try:
-                t = spec.frame_of(team.timestamp)
-            except ValueError as exc:
-                raise ValueError(f"link {(a, b)} of team {team.team_id!r}: {exc}")
-            last = team
-        by_frame[t].append(link)
-    nodes: list[set[str]] = [set() for _ in range(spec.frame_count)]
-    members: set[str] = set()
-    for member, team in participations or ():
-        if team is not last:
-            try:
-                t = spec.frame_of(team.timestamp)
-            except ValueError as exc:
-                raise ValueError(
-                    f"participation of {member!r} in team {team.team_id!r}: {exc}"
-                )
-            last = team
-        nodes[t].add(member)
-        members.add(member)
-    frames = []
-    for t, frame_links in enumerate(by_frame):
-        frame = FrameGraph.from_edges(t, ((a, b, 1) for a, b, _ in frame_links), nodes[t])
-        members.update(frame.nodes)
-        frames.append(frame)
-    return DynamicNetwork(frames, members)
+    kinds = [ActivityType(kind) for kind in kinds]
+    by_frame: list[list[TeamRecord]] = [[] for _ in range(spec.frame_count)]
+    for team in records:
+        try:
+            by_frame[spec.frame_of(team.timestamp)].append(team)
+        except ValueError as exc:
+            raise ValueError(f"team {team.team_id!r}: {exc}") from None
+    frames: dict[str, list[FrameGraph]] = {"full": []}
+    frames.update((kind.value, []) for kind in kinds)
+    for t, teams in enumerate(by_frame):
+        links = expand_teams(teams)
+        participants = team_participations(teams)
+        frames["full"].append(FrameGraph.from_edges(
+            t, ((a, b, 1) for a, b, _ in links), (m for m, _ in participants)
+        ))
+        for kind in kinds:
+            frames[kind.value].append(FrameGraph.from_edges(
+                t,
+                ((a, b, 1) for a, b, team in links if team.activity_type is kind),
+                (m for m, team in participants if team.activity_type is kind),
+            ))
+    return {name: DynamicNetwork(net) for name, net in frames.items()}
 
 
 def typed_network(
-    links: Sequence[tuple[str, str, TeamRecord]],
-    spec: FrameSpec,
-    activity_type: ActivityType | str,
-    participations: Sequence[tuple[str, TeamRecord]] | None = None,
+    records: Iterable[TeamRecord], spec: FrameSpec, activity_type: ActivityType | str
 ) -> DynamicNetwork:
-    """Network built from the ``(member_a, member_b, team)`` links (and
-    ``(member, team)`` participations) whose team has one activity type.
-
-    Filtering by A and then by B partitions the link multiset exactly: every
-    team carries one of the two types.
-    """
+    """The network of the teams with one activity type; see
+    :func:`build_frames`.  The A and B networks partition the full
+    network's links exactly: every team carries one of the two types."""
     kind = ActivityType(activity_type)
-    sub_links = [link for link in links if link[2].activity_type is kind]
-    sub_parts = [row for row in (participations or ()) if row[1].activity_type is kind]
-    return build_frames(sub_links, spec, sub_parts)
+    return build_frames(records, spec, (kind,))[kind.value]

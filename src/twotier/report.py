@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import timedelta
 from functools import partial
+from math import comb
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -30,16 +31,7 @@ from .graph import (
     mean,
     write_edge_csv,
 )
-from .ingest import (
-    ActivityType,
-    expand_teams,
-    infer_format,
-    load_log,
-    spec_for_records,
-    team_participations,
-    typed_network,
-    build_frames,
-)
+from .ingest import ActivityType, build_frames, infer_format, load_log, spec_for_records
 
 _WINDOW_RE = re.compile(r"^(\d+)([mdhs])$")
 
@@ -305,12 +297,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     graphs exist.  The metric rows are read last, and each block's tier-two
     means and edge weight totals come from them; the block's other results
     are final as soon as its abstract graphs are built.
+
+    The previous bundle in ``out_dir`` is removed only once the log has
+    been read and framed, so a log that fails to parse leaves it as it was.
     """
     config.validate()
     started = time.perf_counter()
     bundle = _Bundle(Path(config.out_dir))
+    records, spec, source, truth = _acquire(config)
     bundle.remove_previous()
-    records, spec, source = _acquire(config, bundle)
+    if truth is not None:
+        synth.write_log_csv(bundle.path("synth_log.csv"), records)
+        synth.write_ground_truth(bundle.path("ground_truth.json"), truth)
     networks, network_block, teams = _build_networks(records, spec, config)
     del records  # the networks and the team counts hold all that is read later
     with _worker_pool(_Work(config, networks)) as work:
@@ -320,7 +318,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         detections = work.detections()
         _write_networks(networks, bundle)
         member_stats, tier_one = _tier_one(
-            teams, work.table, *work.read_tier_one(kernels), bundle
+            teams, work.table, *(read() for read in kernels), bundle
         )
         summary = {"source": source, "network": network_block, **tier_one, "x": {}}
         result = PipelineResult(bundle.root, summary, networks["full"])
@@ -347,47 +345,42 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     return result
 
 
-def _acquire(config: PipelineConfig, bundle: _Bundle):
-    """The team records, their frame spec and the summary's source block.
-
-    Without an input log, the preset's generated log and ground truth join
-    the bundle.
+def _acquire(config: PipelineConfig):
+    """The team records, their frame spec, the summary's source block and,
+    without an input log, the preset's ground truth (else ``None``), which
+    joins the bundle along with the generated log.
     """
     if config.input is None:
         synth_config = synth.PRESETS[config.preset](config.seed)
         records, truth = synth.generate(synth_config)
-        synth.write_log_csv(bundle.path("synth_log.csv"), records)
-        synth.write_ground_truth(bundle.path("ground_truth.json"), truth)
         source = {"kind": "synthetic", "preset": config.preset, "seed": config.seed}
-        return records, synth_config.frame_spec(), source
+        return records, synth_config.frame_spec(), source, truth
     effective_format = config.format or infer_format(config.input)
     records = load_log(config.input, effective_format)
     if not records:
         raise ValueError(f"input log {config.input} holds no records")
     spec = spec_for_records(records, *parse_window(config.window))
     source = {"kind": "file", "path": str(config.input), "format": effective_format}
-    return records, spec, source
+    return records, spec, source, None
 
 
 def _build_networks(records, spec, config: PipelineConfig):
     """Frame networks by filter ("full" first, then the typed ones), the
     summary's network block, and per activity type each member's count of
     teams, the one thing read from the records after this."""
-    links = expand_teams(records)
-    participations = team_participations(records)
-    networks = {"full": build_frames(links, spec, participations)}
-    for name in config.filters[1:]:
-        networks[name] = typed_network(links, spec, name, participations)
+    networks = build_frames(records, spec, config.filters[1:])
     activity_ids = {kind: set() for kind in ActivityType}
     teams = {kind: Counter() for kind in ActivityType}
+    links = 0
     for record in records:
         activity_ids[record.activity_type].add(record.activity_id)
         teams[record.activity_type].update(record.members)
+        links += comb(len(record.members), 2)
     block = {
         "members": len(networks["full"].members),
         "frames": networks["full"].frame_count,
         "teams": len(records),
-        "links": len(links),
+        "links": links,
         "activities_a": len(activity_ids[ActivityType.A]),
         "activities_b": len(activity_ids[ActivityType.B]),
         "frame_spec": spec.describe(),
@@ -482,12 +475,16 @@ class _Work:
     """The analysis steps that may run on worker processes, and what they
     read: the frame networks, the aggregate graph, the influence table and
     the backbone splits.  The last three are built here from the full
-    network, so that this object alone holds the aggregate graph.
+    network, so that this object alone holds the aggregate graph;
+    :meth:`detections` drops it.
 
-    A worker inherits this object at fork, so only step names, block keys,
-    abstract graphs and small results cross processes.  Every step gives
-    the same result in any process: a detection's seed depends only on the
-    run's seed, the side and the frame index.
+    A worker inherits this object at fork, so only step names and each
+    item's arguments cross to a worker, and small results come back.  The
+    arguments (block keys, abstract graphs) cross as one pickled ``bytes``
+    payload, made at submission, so an item that waits for a worker holds
+    no graph objects in this process.  Every step gives the same result in
+    any process: a detection's seed depends only on the run's seed, the
+    side and the frame index.
     """
 
     def __init__(self, config: PipelineConfig, networks) -> None:
@@ -502,19 +499,14 @@ class _Work:
     def submit(self, step: str, *args):
         """Start the method named ``step`` on ``args``; returns a call that
         gives its result.  Without a pool the step runs here, at once, so
-        nothing it reads outlives the call."""
+        nothing it reads outlives the call.  On the pool, ``args`` are
+        pickled here into the item's one payload."""
         if self.pool is None:
             value = getattr(self, step)(*args)
             return lambda: value
-        return self.pool.submit(_in_worker, step, *args).result
+        import pickle  # loaded already with multiprocessing
 
-    def read_tier_one(self, kernels) -> list:
-        """The results of tier one's kernels, submitted in ``_TIER_ONE``
-        order.  The aggregate graph, which only they read, is dropped once
-        they are in; a worker forked after that never needs it."""
-        results = [read() for read in kernels]
-        self.agg = None
-        return results
+        return self.pool.submit(_in_worker, step, pickle.dumps(args)).result
 
     def detections(self) -> dict:
         """A call per (X, filter, side) that gives that block's detections.
@@ -522,12 +514,20 @@ class _Work:
         On the pool, the blocks are submitted here, in key order.  Without
         a pool, a block runs when its call is made, so that its work falls
         inside the ``community.detect_all`` that reads it.
+
+        Tier one's kernels, the aggregate graph's only readers, are
+        submitted before this, so the graph is dropped here.  Every worker
+        has forked by now, except on a pool that forks on demand (Python
+        3.10); a worker forked later is handed only frame metrics.
         """
         keys = [(x, name, side) for x in self.splits for name in self.networks
                 for side in _SIDES]
         if self.pool is None:
-            return {key: partial(self.detect, *key) for key in keys}
-        return {key: self.submit("detect", *key) for key in keys}
+            calls = {key: partial(self.detect, *key) for key in keys}
+        else:
+            calls = {key: self.submit("detect", *key) for key in keys}
+        self.agg = None
+        return calls
 
     def detect(self, x, name: str, side: str) -> list[tuple[list[int], float, bool]]:
         """Restrict each frame of filter ``name`` to one side's members and
@@ -575,8 +575,10 @@ def _install(work: _Work) -> None:
     _inherited = work
 
 
-def _in_worker(step: str, *args):
-    return getattr(_inherited, step)(*args)
+def _in_worker(step: str, payload: bytes):
+    import pickle
+
+    return getattr(_inherited, step)(*pickle.loads(payload))
 
 
 def _usable_cpus() -> int:

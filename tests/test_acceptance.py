@@ -17,7 +17,7 @@ from twotier.abstraction import betweenness, density
 from twotier.community import detect, modularity
 from twotier.evolution import ATTRIBUTE, EventKind, classify
 from twotier.graph import DynamicNetwork, FrameGraph, aggregate
-from twotier.ingest import build_frames, expand_teams, team_participations
+from twotier.ingest import build_frames
 from twotier.kshell import (
     aggregate_ranking,
     coverage_curve,
@@ -123,7 +123,7 @@ def test_04_coverage_monotone_and_dynamic_dominates():
     t0 = time.perf_counter()
     records = intermittent_activity_records()
     spec = intermittent_spec()
-    net = build_frames(expand_teams(records), spec, team_participations(records))
+    net = build_frames(records, spec)["full"]
     agg = aggregate(net)
     xs = list(range(1, 51))
     dyn = coverage_curve(net.frames, dynamic_influence(net, agg).ranking(), xs)

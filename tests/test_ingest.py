@@ -285,7 +285,7 @@ def test_build_frames_places_links_and_counts_weights():
     ]
     start = parse_timestamp("2021-01-01T00:00:00Z")
     spec = FrameSpec(start, add_months(start, 2), window_months=1)
-    net = build_frames(expand_teams(records), spec, team_participations(records))
+    net = build_frames(records, spec)["full"]
     assert net.frame_count == 2
     assert net.frames[0].neighbors("a").get("b", 0) == 2
     assert net.frames[1].neighbors("a").get("c", 0) == 1
@@ -302,14 +302,12 @@ def test_build_frames_is_invariant_under_reordering():
         for i in range(40)
     ]
     spec = spec_for_records(records, window_months=1)
-    links, parts = expand_teams(records), team_participations(records)
-    want = build_frames(links, spec, parts)
+    want = build_frames(records, spec, ("A", "B"))
     for _ in range(5):
-        shuffled_links = rng.sample(links, len(links))
-        shuffled_parts = rng.sample(parts, len(parts))
-        got = build_frames(shuffled_links, spec, shuffled_parts)
-        assert got.frames == want.frames
-        assert got.members == want.members
+        got = build_frames(rng.sample(records, len(records)), spec, ("A", "B"))
+        for name in ("full", "A", "B"):
+            assert got[name].frames == want[name].frames
+            assert got[name].members == want[name].members
 
 
 def test_build_frames_rejects_outside_span():
@@ -318,13 +316,13 @@ def test_build_frames_rejects_outside_span():
     spec = FrameSpec(start, add_months(start, 1), window_months=1)
     outside = "timestamp 2021-01-10T00:00:00+00:00 outside span"
     with pytest.raises(ValueError) as err:
-        build_frames(expand_teams(records), spec)
-    assert str(err.value).startswith(f"link ('a', 'b') of team 't1': {outside}")
-    # a singleton team has no links; its participation names member and team
+        build_frames(records, spec)
+    assert str(err.value).startswith(f"team 't1': {outside}")
+    # a singleton team has no links; it is named all the same
     solo = [_team("t9", ["c"], ts="2021-01-10T00:00:00Z")]
     with pytest.raises(ValueError) as err:
-        build_frames(expand_teams(solo), spec, team_participations(solo))
-    assert str(err.value).startswith(f"participation of 'c' in team 't9': {outside}")
+        build_frames(solo, spec)
+    assert str(err.value).startswith(f"team 't9': {outside}")
 
 
 def test_typed_network_filters_one_activity_type():
@@ -333,7 +331,7 @@ def test_typed_network_filters_one_activity_type():
         _team("t2", ["b", "c"], ts="2021-01-12T00:00:00Z", kind="B"),
     ]
     spec = spec_for_records(records, window_months=1)
-    links = expand_teams(records)
-    net_a = typed_network(links, spec, "A", team_participations(records))
+    net_a = typed_network(records, spec, "A")
     assert net_a.frames[0].neighbors("a").get("b", 0) == 1
     assert net_a.frames[0].neighbors("b").get("c", 0) == 0
+    assert build_frames(records, spec, "A")["A"].frames == net_a.frames

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from twotier.ingest import LogParseError
 from twotier.report import (
     PipelineConfig,
     load_config,
@@ -212,6 +213,19 @@ def test_rerun_into_used_directory_matches_fresh_run(tmp_path):
     assert tree.pop("notes.txt") == b"not listed, so kept"
     assert tree == _tree(fresh)
     assert "x5" not in tree and "network/frames_B.csv" not in tree
+
+
+def test_rerun_on_a_bad_log_keeps_the_previous_bundle(tmp_path):
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(preset="small", out_dir=str(out)))
+    before = _tree(out)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("team_id,activity_id,activity_type,timestamp,members\n"
+                   "t1,a1,C,2021-01-04T09:00:00Z,ann;bob\n"
+                   "t2,a2,A,2021-01-05T09:00:00Z,ann;cat\n")
+    with pytest.raises(LogParseError, match="^line 2: activity type must be A or B"):
+        run_pipeline(PipelineConfig(input=str(bad), out_dir=str(out)))
+    assert _tree(out) == before
 
 
 def test_each_x_gets_its_own_directory(tmp_path):

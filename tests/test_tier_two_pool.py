@@ -3,15 +3,17 @@ detections and frame metrics): the same bundle, a bounded worker count,
 and failures that reach the caller."""
 
 import gc
+import json
 import multiprocessing
 import os
+import random
 import sys
 import threading
 import warnings
 
 import pytest
 
-from twotier import cli, community, report
+from twotier import cli, community, report, synth
 from twotier.graph import AGGREGATE_FRAME, FrameGraph
 from twotier.ingest import TeamRecord
 from twotier.report import PipelineConfig, pool_workers, run_pipeline
@@ -181,12 +183,30 @@ def test_one_work_item_per_x_filter_and_side(tmp_path, monkeypatch):
         return submit(self, *args, **kwargs)
 
     monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
+    dropped = []
+    detections = report._Work.detections
+
+    def submitting(self):
+        calls = detections(self)
+        dropped.append(self.agg is None)
+        return calls
+
+    monkeypatch.setattr(report._Work, "detections", submitting)
     result = run_pipeline(PipelineConfig(out_dir=str(pooled), **config))
     assert chosen == [2]
     assert result.network.frame_count > 1
     # detections per (X, filter, side), tier one's three kernels, and frame
     # metrics per (X, filter); none of them is per frame
     assert len(submitted) == 2 * 3 * 2 + 3 + 2 * 3
+    # each item's arguments cross as one pickled payload
+    assert [(fn, type(payload)) for fn, _step, payload in submitted] == [
+        (report._in_worker, bytes)
+    ] * len(submitted)
+    assert {step for _fn, step, _payload in submitted} == {
+        "closeness", "aggregate_shells", "dwks_curve", "detect", "frame_rows"
+    }
+    # the aggregate graph is gone once its last readers are submitted
+    assert dropped == [True]
     assert _files(pooled) == _files(here)
 
 
@@ -248,3 +268,42 @@ def test_tier_two_runs_without_team_records_or_aggregate(tmp_path, monkeypatch, 
                                 out_dir=str(tmp_path)))
     assert chosen == ([2] if pooled else [])
     assert held == set()
+
+
+def _small_log(tmp_path):
+    """The ``small`` preset's records, as a CSV log; the path and the records."""
+    records, _truth = synth.generate(synth.small_preset(42))
+    log = tmp_path / "log.csv"
+    synth.write_log_csv(log, records)
+    return log, records
+
+
+@pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=needs_fork)])
+def test_shuffled_records_give_the_same_bundle(tmp_path, monkeypatch, pooled):
+    """The networks are built from the teams grouped by frame; the order of
+    the records must not reach the bundle.  Both logs are read from one
+    path, so the summary's source block agrees too."""
+    log, records = _small_log(tmp_path)
+    ordered, shuffled = tmp_path / "ordered", tmp_path / "shuffled"
+    run_pipeline(PipelineConfig(input=str(log), out_dir=str(ordered)))
+    random.Random(7).shuffle(records)
+    synth.write_log_csv(log, records)
+    chosen = _force_pool(monkeypatch) if pooled else []
+    run_pipeline(PipelineConfig(input=str(log), out_dir=str(shuffled)))
+    assert chosen == ([2] if pooled else [])
+    assert _files(shuffled) == _files(ordered)
+
+
+@needs_fork
+def test_fixed_duration_window_runs_pooled_as_in_process(tmp_path, monkeypatch):
+    log, _records = _small_log(tmp_path)
+    config = dict(input=str(log), window="30d")
+    here, pooled = tmp_path / "here", tmp_path / "pooled"
+    run_pipeline(PipelineConfig(out_dir=str(here), **config))
+    chosen = _force_pool(monkeypatch)
+    run_pipeline(PipelineConfig(out_dir=str(pooled), **config))
+    assert chosen == [2]
+    spec = json.loads((here / "summary.json").read_text())["network"]["frame_spec"]
+    assert spec["window"] == "2592000s"
+    assert spec["frame_count"] > 1
+    assert _files(pooled) == _files(here)
