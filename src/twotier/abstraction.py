@@ -13,7 +13,6 @@ import csv
 from typing import Iterable, Mapping, Sequence
 
 from .graph import FrameGraph, mean
-from .kshell import BackboneSplit
 
 BACKBONE_CLASS = "BC"
 GENERAL_CLASS = "GC"
@@ -42,10 +41,7 @@ def class_edges(graph: FrameGraph) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def abstract(
-    frame: FrameGraph,
-    bsn_map: Mapping[str, int],
-    gsn_map: Mapping[str, int],
-    split: BackboneSplit | None = None,
+    frame: FrameGraph, bsn_map: Mapping[str, int], gsn_map: Mapping[str, int]
 ) -> FrameGraph:
     """Collapse one frame to the community level.
 
@@ -56,24 +52,15 @@ def abstract(
         frame: the full frame graph (backbone + general members).
         bsn_map: community assignment of the frame's backbone members.
         gsn_map: community assignment of the frame's general members.
-        split: optional; when given, partition membership is checked against
-            the declared backbone/general sets.
 
     Raises:
-        ValueError: if a member is assigned on both sides, a partition
-            contradicts ``split``, or a frame node is assigned on neither.
+        ValueError: if a member is assigned on both sides, or a frame node
+            is assigned on neither.
     """
     both = bsn_map.keys() & gsn_map.keys()
     if both:
         sample = sorted(both)[:3]
         raise ValueError(f"members assigned to both sub-networks: {sample}")
-    if split is not None:
-        stray = sorted(set(bsn_map) - split.backbone)[:3]
-        if stray:
-            raise ValueError(f"backbone partition holds non-backbone members: {stray}")
-        stray = sorted(set(gsn_map) - split.general)[:3]
-        if stray:
-            raise ValueError(f"general partition holds non-general members: {stray}")
 
     node_of = {m: (BACKBONE_CLASS, c) for m, c in bsn_map.items()}
     node_of.update((m, (GENERAL_CLASS, c)) for m, c in gsn_map.items())
@@ -146,17 +133,14 @@ def betweenness(graph: FrameGraph) -> dict[NodeKey, float]:
     return {v: score[i] * 0.5 for i, v in enumerate(graph.nodes)}
 
 
-def edge_weight_shares(weights: Mapping[str, int]) -> tuple[float, float, float]:
-    """(BBE, GGE, BGE) shares of the total of per-class edge ``weights``, as
-    :func:`class_edges` gives them; they sum to 1.
-
-    Raises:
-        ValueError: if the total weight is 0 (the graph has no edges).
-    """
+def edge_weight_shares(weights: Mapping[str, int]) -> dict[str, float] | None:
+    """Each class's share of the total of per-class edge ``weights``, as
+    :func:`class_edges` gives them, keyed by class; the shares sum to 1.
+    ``None`` when the total is 0 (the graph has no edges)."""
     total = sum(weights.values())
-    if total == 0:
-        raise ValueError("edge-weight shares are undefined without edges")
-    return (weights["BBE"] / total, weights["GGE"] / total, weights["BGE"] / total)
+    if not total:
+        return None
+    return {cls: weight / total for cls, weight in weights.items()}
 
 
 def frame_metrics(graph: FrameGraph) -> dict:
@@ -167,19 +151,16 @@ def frame_metrics(graph: FrameGraph) -> dict:
     """
     bc = [i for i, v in enumerate(graph.nodes) if v[0] == BACKBONE_CLASS]
     gc = [i for i, v in enumerate(graph.nodes) if v[0] == GENERAL_CLASS]
-    bc_iso = sum(1 for i in bc if not graph.rows[i])
-    gc_iso = sum(1 for i in gc if not graph.rows[i])
     counts, weights = class_edges(graph)
+    shares = edge_weight_shares(weights) or dict.fromkeys(weights)
     central = list(betweenness(graph).values())  # in local-id order
-    mean_bc = mean(central[i] for i in bc)
-    mean_gc = mean(central[i] for i in gc)
-    row = {
+    return {
         "frame": graph.frame_index,
         "n_communities": len(graph),
         "n_bc": len(bc),
         "n_gc": len(gc),
-        "n_bc_isolated": bc_iso,
-        "n_gc_isolated": gc_iso,
+        "n_bc_isolated": sum(1 for i in bc if not graph.rows[i]),
+        "n_gc_isolated": sum(1 for i in gc if not graph.rows[i]),
         "l_total": graph.edge_count,
         "l_bbe": counts["BBE"],
         "l_gge": counts["GGE"],
@@ -188,18 +169,13 @@ def frame_metrics(graph: FrameGraph) -> dict:
         # the BC-BC and GC-GC links are the edges internal to each class
         "density_bc": _density(len(bc), counts["BBE"]),
         "density_gc": _density(len(gc), counts["GGE"]),
-        "mean_betweenness_bc": mean_bc,
-        "mean_betweenness_gc": mean_gc,
+        "mean_betweenness_bc": mean(central[i] for i in bc),
+        "mean_betweenness_gc": mean(central[i] for i in gc),
+        "share_bbe": shares["BBE"],
+        "share_gge": shares["GGE"],
+        "share_bge": shares["BGE"],
         "edge_weights": weights,
     }
-    if graph.edge_count > 0:
-        bbe, gge, bge = edge_weight_shares(weights)
-        row["share_bbe"] = bbe
-        row["share_gge"] = gge
-        row["share_bge"] = bge
-    else:
-        row["share_bbe"] = row["share_gge"] = row["share_bge"] = None
-    return row
 
 
 METRIC_COLUMNS = [

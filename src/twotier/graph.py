@@ -1,7 +1,8 @@
 """Weighted undirected graph model shared by every analysis stage.
 
 ``FrameGraph`` is one time-frame snapshot; ``DynamicNetwork`` is the ordered
-stack of snapshots plus the all-time member registry.
+stack of snapshots plus its member registry, the members present in any
+frame.
 ``FrameGraph.from_edges`` is the one checked builder: ingestion builds every
 frame with it, and :func:`aggregate` the all-frames graph; ``restrict``
 derives subgraphs from a built graph.  Graphs are immutable by convention:
@@ -166,32 +167,23 @@ class FrameGraph:
 
 
 class DynamicNetwork:
-    """Ordered sequence of frame snapshots over a fixed member registry.
+    """Ordered sequence of frame snapshots.
 
-    The registry covers every frame's nodes and may hold more members.
+    ``members``, the registry, is derived: the members present in at least
+    one frame, so it holds every frame's nodes and nothing else.
     """
 
     __slots__ = ("frames", "members")
 
-    def __init__(
-        self, frames: Sequence[FrameGraph], members: Iterable[str] | None = None
-    ) -> None:
+    def __init__(self, frames: Sequence[FrameGraph]) -> None:
         self.frames = list(frames)
         for t, frame in enumerate(self.frames):
             if frame.frame_index != t:
                 raise ValueError(
                     f"frame at position {t} carries index {frame.frame_index}"
                 )
-        if members is None:
-            members = set().union(*(frame.nodes for frame in self.frames))
-        self.members = frozenset(members)
-        for frame in self.frames:
-            for node in frame.nodes:  # in sorted order: the first is the least
-                if node not in self.members:
-                    raise ValueError(
-                        f"node {node!r} of frame {frame.frame_index} "
-                        "is missing from the member registry"
-                    )
+        # copied from a set, so its table is sized exactly (union may double it)
+        self.members = frozenset(set().union(*(frame.nodes for frame in self.frames)))
 
     @property
     def frame_count(self) -> int:
@@ -215,9 +207,9 @@ def mean(values: Iterable[float]) -> float:
 def aggregate(network: DynamicNetwork) -> FrameGraph:
     """Collapse all frames into one graph; pair weights add across frames.
 
-    The result carries frame index ``AGGREGATE_FRAME`` (-1) and registers
-    every member of the network registry (so members seen only in singleton
-    teams stay represented).
+    The result carries frame index ``AGGREGATE_FRAME`` (-1), and its nodes
+    are the network's members (so members seen only in singleton teams stay
+    represented).
     """
     return FrameGraph.from_edges(
         AGGREGATE_FRAME,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -118,14 +119,24 @@ def load_log(path, format: str | None = None) -> list[TeamRecord]:
         return parse_log(handle, format)
 
 
+def _checked(value, kind: type, blank: str, line: int, field: str):
+    """``value`` if it is a non-blank ``kind``.  An absent value, an empty
+    list or an all-blank string raises ``blank``; a value of another type
+    raises an error naming the type expected and the value found."""
+    if value is None or value == [] or isinstance(value, str) and not value.strip():
+        raise LogParseError(blank, line=line, field=field)
+    if not isinstance(value, kind):
+        expected = "a list of strings" if kind is list else "a string"
+        raise LogParseError(f"expected {expected}, got {value!r}", line=line, field=field)
+    return value
+
+
 def _record(fields: dict, line: int, names: dict[str, str]) -> TeamRecord:
     """One checked record from a row's fields.  ``names`` is the parse's
     member name table: every record of one parse holds the same ``str``
     object for a given name."""
     for key in ("team_id", "activity_id", "activity_type", "timestamp"):
-        value = fields.get(key)
-        if not isinstance(value, str) or not value.strip():
-            raise LogParseError("missing or empty value", line=line, field=key)
+        _checked(fields.get(key), str, "missing or empty value", line, key)
     try:
         kind = ActivityType(fields["activity_type"].strip())
     except ValueError:
@@ -138,14 +149,12 @@ def _record(fields: dict, line: int, names: dict[str, str]) -> TeamRecord:
         ts = parse_timestamp(fields["timestamp"])
     except ValueError as exc:
         raise LogParseError(str(exc), line=line, field="timestamp") from None
-    members = fields.get("members")
-    if not isinstance(members, (list, tuple)) or not members:
-        raise LogParseError("missing or empty member list", line=line, field="members")
+    members = _checked(
+        fields.get("members"), list, "missing or empty member list", line, "members"
+    )
     cleaned = []
     for item in members:
-        if not isinstance(item, str) or not item.strip():
-            raise LogParseError("blank member id", line=line, field="members")
-        name = item.strip()
+        name = _checked(item, str, "blank member id", line, "members").strip()
         cleaned.append(names.setdefault(name, name))
     try:
         return TeamRecord(
@@ -255,35 +264,51 @@ def add_months(moment: datetime, months: int) -> datetime:
     return moment.replace(year=year, month=month, day=day)
 
 
+_WINDOW_RE = re.compile(r"^(\d+)([mdhs])$")
+
+
+def parse_window(text: str) -> int | timedelta:
+    """The frame window a text names: ``'3m'`` -> 3 calendar months (an
+    ``int``); ``'90d'``, ``'12h'``, ``'3600s'`` -> a fixed duration (a
+    ``timedelta``).  :meth:`FrameSpec.describe` renders it back."""
+    matched = _WINDOW_RE.match(text.strip())
+    if not matched:
+        raise ValueError(
+            f"window {text!r} must look like 3m (months), 90d, 12h or 3600s"
+        )
+    amount, unit = int(matched.group(1)), matched.group(2)
+    if amount < 1:
+        raise ValueError("window must be positive")
+    if unit == "m":
+        return amount
+    seconds = {"d": 86400, "h": 3600, "s": 1}[unit] * amount
+    try:
+        return timedelta(seconds=seconds)
+    except OverflowError:
+        raise ValueError(f"window {text!r} is too long") from None
+
+
 class FrameSpec:
     """Partition of an observation span into consecutive equal-length frames.
 
-    Frames are half-open ``[start, next_start)``.  The window is either a
-    whole number of calendar months (default) or a fixed duration.  When the
+    Frames are half-open ``[start, next_start)``.  The window, as
+    :func:`parse_window` gives it, is either a whole number of calendar
+    months (an ``int``) or a fixed duration (a ``timedelta``).  When the
     span does not divide evenly, the trailing remainder is absorbed into the
     last frame, so the final frame may be longer than the window.
     """
 
     def __init__(
-        self,
-        span_start: datetime,
-        span_end: datetime,
-        window_months: int | None = None,
-        window: timedelta | None = None,
+        self, span_start: datetime, span_end: datetime, window: int | timedelta
     ) -> None:
-        if (window_months is None) == (window is None):
-            raise ValueError("specify exactly one of window_months or window")
-        if window_months is not None and window_months < 1:
-            raise ValueError("window_months must be >= 1")
-        if window is not None and window <= timedelta(0):
-            raise ValueError("window must be a positive duration")
+        if window <= (timedelta(0) if isinstance(window, timedelta) else 0):
+            raise ValueError(f"window must be positive, got {window!r}")
         if span_start.tzinfo is None or span_end.tzinfo is None:
             raise ValueError("span boundaries must be timezone-aware")
         if span_start >= span_end:
             raise ValueError("span_start must precede span_end")
         self.span_start = span_start.astimezone(timezone.utc)
         self.span_end = span_end.astimezone(timezone.utc)
-        self.window_months = window_months
         self.window = window
         self._starts = self._build_starts()
 
@@ -291,9 +316,9 @@ class FrameSpec:
         """Start of window k, counted from the span start, so a day clamped
         at one month's end does not carry into later windows."""
         try:
-            if self.window_months is not None:
-                return add_months(self.span_start, k * self.window_months)
-            return self.span_start + k * self.window  # type: ignore[operator]
+            if isinstance(self.window, timedelta):
+                return self.span_start + k * self.window
+            return add_months(self.span_start, k * self.window)
         except (OverflowError, ValueError):
             raise ValueError(
                 f"{k} windows after {self.span_start.isoformat()} is past year 9999"
@@ -338,27 +363,24 @@ class FrameSpec:
             "span_end": self.span_end.isoformat(),
             "frame_count": self.frame_count,
         }
-        if self.window_months is not None:
-            spec["window"] = f"{self.window_months}m"
+        if isinstance(self.window, timedelta):
+            spec["window"] = f"{int(self.window.total_seconds())}s"
         else:
-            spec["window"] = f"{int(self.window.total_seconds())}s"  # type: ignore[union-attr]
+            spec["window"] = f"{self.window}m"
         return spec
 
 
 def spec_for_records(
-    records: Sequence[TeamRecord],
-    window_months: int | None = None,
-    window: timedelta | None = None,
+    records: Sequence[TeamRecord], window: int | timedelta
 ) -> FrameSpec:
-    """Derive a FrameSpec spanning the records' timestamps.
+    """Derive a FrameSpec of ``window`` (see :class:`FrameSpec`) spanning
+    the records' timestamps.
 
     The span starts at the earliest timestamp and ends one second past the
     latest, so every record lands inside a frame.
     """
     if not records:
         raise ValueError("cannot derive a frame spec from an empty log")
-    if window_months is None and window is None:
-        window_months = 3
     stamps = [r.timestamp for r in records]
     latest = max(stamps)
     try:
@@ -368,7 +390,7 @@ def spec_for_records(
             f"timestamp {latest.isoformat()} leaves no second before year 10000 "
             "to end the span"
         ) from None
-    return FrameSpec(min(stamps), span_end, window_months, window)
+    return FrameSpec(min(stamps), span_end, window)
 
 
 def build_frames(

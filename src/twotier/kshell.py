@@ -118,14 +118,14 @@ def dynamic_influence(
 ) -> InfluenceTable:
     """Frame-by-frame decomposition accumulated into influence scores.
 
-    Every registry member gets a row; members absent from every frame score
-    0.  Passing a precomputed aggregate graph avoids rebuilding it.
+    Every member gets a row.  The rows are the aggregate graph's nodes,
+    which are exactly the network's members.  Passing a precomputed
+    aggregate graph avoids rebuilding it.
     """
     if aggregate_graph is None:
         aggregate_graph = aggregate(network)
-    total = {m: 0 for m in sorted(network.members)}
-    degree = dict(zip(aggregate_graph.nodes, map(len, aggregate_graph.rows)))
-    tiebreak = {m: degree.get(m, 0) for m in total}
+    total = dict.fromkeys(aggregate_graph.nodes, 0)
+    tiebreak = dict(zip(aggregate_graph.nodes, map(len, aggregate_graph.rows)))
     active = dict.fromkeys(total, 0)
     for frame in network.frames:
         for member, shell in wks_decompose(frame).items():

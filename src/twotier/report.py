@@ -11,13 +11,11 @@ import csv
 import dataclasses
 import json
 import os
-import re
 import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import timedelta
 from functools import partial
 from math import comb
 from pathlib import Path
@@ -31,28 +29,8 @@ from .graph import (
     mean,
     write_edge_csv,
 )
-from .ingest import ActivityType, build_frames, infer_format, load_log, spec_for_records
-
-_WINDOW_RE = re.compile(r"^(\d+)([mdhs])$")
-
-
-def parse_window(text: str) -> tuple[int | None, timedelta | None]:
-    """'3m' -> 3 calendar months; '90d'/'12h'/'3600s' -> fixed durations."""
-    matched = _WINDOW_RE.match(text.strip())
-    if not matched:
-        raise ValueError(
-            f"window {text!r} must look like 3m (months), 90d, 12h or 3600s"
-        )
-    amount, unit = int(matched.group(1)), matched.group(2)
-    if amount < 1:
-        raise ValueError("window must be positive")
-    if unit == "m":
-        return amount, None
-    seconds = {"d": 86400, "h": 3600, "s": 1}[unit] * amount
-    try:
-        return None, timedelta(seconds=seconds)
-    except OverflowError:
-        raise ValueError(f"window {text!r} is too long") from None
+from .ingest import ActivityType, build_frames, infer_format, load_log
+from .ingest import parse_window, spec_for_records
 
 
 @dataclass
@@ -188,10 +166,11 @@ def _member_stats(teams, table: kshell.InfluenceTable, closeness_values: Mapping
     """One ``{member: value}`` column per statistic: aggregate degree,
     closeness, type A and type B teams joined, and frames present in.
     ``teams`` maps each activity type to a ``Counter`` of its teams per
-    member, which reads 0 for a member without one."""
+    member, which reads 0 for a member without one.  The table and the
+    closeness values both cover exactly the aggregate graph's nodes."""
     return {
         "degree": table.tiebreak_degree,
-        "closeness": {m: closeness_values.get(m, 0.0) for m in table.total},
+        "closeness": closeness_values,
         "type_a": teams[ActivityType.A],
         "type_b": teams[ActivityType.B],
         "active": table.active,
@@ -359,7 +338,7 @@ def _acquire(config: PipelineConfig):
     records = load_log(config.input, effective_format)
     if not records:
         raise ValueError(f"input log {config.input} holds no records")
-    spec = spec_for_records(records, *parse_window(config.window))
+    spec = spec_for_records(records, parse_window(config.window))
     source = {"kind": "file", "path": str(config.input), "format": effective_format}
     return records, spec, source, None
 
@@ -675,7 +654,7 @@ def _analyze_filter(
             "degenerate_frames": parts.degenerate_frames,
         }
     agraphs = [
-        abstraction.abstract(frame, bsn.assignment, gsn.assignment, split)
+        abstraction.abstract(frame, bsn.assignment, gsn.assignment)
         for frame, bsn, gsn in zip(fnet.frames, partitions["bsn"], partitions["gsn"])
     ]
     abstraction.write_abstract_csv(bundle.path(f"{fdir}/abstract.csv"), agraphs)
@@ -693,15 +672,10 @@ def _write_metrics(rows, block: dict, bundle: _Bundle, fdir: str) -> list[dict]:
     for row in rows:
         for cls, weight in row["edge_weights"].items():
             totals[cls] += weight
-    weight_sum = sum(totals.values())
     block["tier2"].update(
         {
             "edge_weight_totals": totals,
-            "edge_weight_shares": (
-                {cls: totals[cls] / weight_sum for cls in sorted(totals)}
-                if weight_sum
-                else None
-            ),
+            "edge_weight_shares": abstraction.edge_weight_shares(totals),
             "mean_density_bc": mean(r["density_bc"] for r in rows),
             "mean_density_gc": mean(r["density_gc"] for r in rows),
             "mean_betweenness_bc": mean(r["mean_betweenness_bc"] for r in rows),

@@ -84,7 +84,7 @@ class SynthConfig:
         ``window_months`` calendar months from ``span_start``."""
         start = parse_timestamp(self.span_start)
         end = add_months(start, self.frames * self.window_months)
-        return FrameSpec(start, end, window_months=self.window_months)
+        return FrameSpec(start, end, self.window_months)
 
     def validate(self) -> None:
         if self.frames < 1:

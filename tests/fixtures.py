@@ -78,7 +78,7 @@ def intermittent_activity_records(
 def intermittent_spec(frames: int = 16) -> FrameSpec:
     """Frame spec matching :func:`intermittent_activity_records`."""
     start = parse_timestamp("2020-01-01T00:00:00Z")
-    return FrameSpec(start, add_months(start, frames), window_months=1)
+    return FrameSpec(start, add_months(start, frames), 1)
 
 
 def scripted_event_timeline() -> tuple[list[list[frozenset[str]]], list[dict]]:

@@ -222,12 +222,10 @@ def test_edge_weight_shares():
         (("GC", 0), ("GC", 1), 1),
         (("BC", 0), ("GC", 0), 3),
     ])
-    bbe, gge, bge = edge_weight_shares(class_edges(ag)[1])
-    assert bbe == pytest.approx(0.6)
-    assert gge == pytest.approx(0.1)
-    assert bge == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        edge_weight_shares(class_edges(_agraph(2, 0, []))[1])
+    shares = edge_weight_shares(class_edges(ag)[1])
+    assert shares == pytest.approx({"BBE": 0.6, "GGE": 0.1, "BGE": 0.3})
+    # undefined without edges
+    assert edge_weight_shares(class_edges(_agraph(2, 0, []))[1]) is None
 
 
 def test_frame_metrics_row():

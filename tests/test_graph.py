@@ -155,14 +155,16 @@ def test_from_edges_ignores_how_the_edges_are_listed():
 def test_aggregate_equals_per_pair_sum_over_frames():
     rng = random.Random(2323)
     for _ in range(30):
-        frames = [
-            adjacency_graph(t, random_weighted_adj(rng, max_nodes=20,
-                                                   max_edges=rng.choice((0, 10, 40))))
-            for t in range(rng.randint(1, 5))
+        adjs = [
+            random_weighted_adj(rng, max_nodes=20, max_edges=rng.choice((0, 10, 40)))
+            for _ in range(rng.randint(1, 5))
         ]
-        registry_only = {f"z{i}" for i in range(rng.randint(0, 3))}
-        members = set().union(*(f.nodes for f in frames)) | registry_only
-        agg = aggregate(DynamicNetwork(frames, members))
+        # members present in a frame without a link anywhere
+        unlinked = {f"z{i}" for i in range(rng.randint(0, 3))}
+        adjs[-1].update((z, {}) for z in unlinked)
+        frames = [adjacency_graph(t, adj) for t, adj in enumerate(adjs)]
+        members = set().union(*(f.nodes for f in frames))
+        agg = aggregate(DynamicNetwork(frames))
         want: dict[tuple[str, str], int] = {}
         for f in frames:
             for u in f.nodes:
@@ -171,7 +173,7 @@ def test_aggregate_equals_per_pair_sum_over_frames():
         assert agg.frame_index == AGGREGATE_FRAME
         assert agg.nodes == sorted(members)
         assert {(u, v): w for u in agg.nodes for v, w in agg.neighbors(u).items()} == want
-        assert all(agg.degree(z) == 0 for z in registry_only)
+        assert all(agg.degree(z) == 0 for z in unlinked)
         _assert_one_form(agg)
 
 
@@ -179,21 +181,19 @@ def test_network_frame_index_must_match_position():
     f0 = FrameGraph.from_edges(0, [("a", "b", 1)])
     f_bad = FrameGraph.from_edges(5, [("a", "b", 1)])
     with pytest.raises(ValueError):
-        DynamicNetwork([f0, f_bad], frozenset({"a", "b"}))
-    # the registry must cover every frame's nodes, and may hold more
-    with pytest.raises(ValueError, match="node 'b' of frame 0"):
-        DynamicNetwork([f0], members={"a"})
-    assert DynamicNetwork([f0], members={"a", "b", "z"}).members == {"a", "b", "z"}
+        DynamicNetwork([f0, f_bad])
 
 
 def test_aggregate_sums_weights_and_registry():
     f0 = FrameGraph.from_edges(0, [("a", "b", 2)])
-    f1 = FrameGraph.from_edges(1, [("a", "b", 1), ("b", "c", 1)])
-    net = DynamicNetwork([f0, f1], frozenset({"a", "b", "c", "zzz"}))
+    f1 = FrameGraph.from_edges(1, [("a", "b", 1), ("b", "c", 1)], nodes=["zzz"])
+    net = DynamicNetwork([f0, f1])
+    # the registry is the members present in a frame, linked or not
+    assert net.members == {"a", "b", "c", "zzz"}
     agg = aggregate(net)
     assert agg.frame_index == AGGREGATE_FRAME
     assert agg.neighbors("a").get("b", 0) == 3
-    # every registered member is a node, active or not
+    # every member is a node, linked or not
     assert "zzz" in agg.nodes
 
 

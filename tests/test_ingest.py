@@ -203,6 +203,29 @@ def test_parse_log_jsonl_bad_members():
         assert err.value.field == "members"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("team_id", 7, "expected a string, got 7"),
+        ("timestamp", 1609459200, "expected a string, got 1609459200"),
+        ("members", "x;y", "expected a list of strings, got 'x;y'"),
+        ("members", ["x", 5], "expected a string, got 5"),
+    ],
+)
+def test_parse_log_jsonl_names_a_value_of_the_wrong_type(field, value, message):
+    row = {"team_id": "t1", "activity_id": "a", "activity_type": "A",
+           "timestamp": "2021-01-04T09:00:00Z", "members": ["x", "y"], field: value}
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO(json.dumps(row) + "\n"), format="jsonl")
+    assert str(err.value) == f"line 1: {message} (field {field!r})"
+    # an absent or blank value still reads as missing
+    for blank in (None, "", " ", []):
+        row[field] = blank
+        with pytest.raises(LogParseError, match="missing or empty") as err:
+            parse_log(io.StringIO(json.dumps(row) + "\n"), format="jsonl")
+        assert err.value.field == field
+
+
 def test_parse_log_jsonl_rejects_deep_nesting():
     # nesting past the decoder's recursion limit is a parse error naming the line
     text = "\n" + "[" * 200000 + "]" * 200000 + "\n"
@@ -213,20 +236,19 @@ def test_parse_log_jsonl_rejects_deep_nesting():
 
 # --- frame spec -----------------------------------------------------------
 
-def test_frame_spec_needs_exactly_one_window():
+def test_frame_spec_rejects_non_positive_window():
     start = parse_timestamp("2021-01-01T00:00:00Z")
     end = parse_timestamp("2022-01-01T00:00:00Z")
-    with pytest.raises(ValueError):
-        FrameSpec(start, end)
-    with pytest.raises(ValueError):
-        FrameSpec(start, end, window_months=3, window=timedelta(days=30))
+    for window in (0, -1, timedelta(0), timedelta(days=-1)):
+        with pytest.raises(ValueError, match="window must be positive"):
+            FrameSpec(start, end, window)
 
 
 def test_frame_spec_last_frame_absorbs_remainder():
     # 73 months at a 3-month window: 24 frames, the last one a month longer.
     start = parse_timestamp("2015-05-01T00:00:00Z")
     end = add_months(start, 73)
-    spec = FrameSpec(start, end, window_months=3)
+    spec = FrameSpec(start, end, 3)
     assert spec.frame_count == 24
     bounds = spec.boundaries()
     assert bounds[0][0] == start
@@ -239,7 +261,7 @@ def test_frame_spec_last_frame_absorbs_remainder():
 
 def test_frame_of_boundaries():
     start = parse_timestamp("2021-01-01T00:00:00Z")
-    spec = FrameSpec(start, add_months(start, 4), window_months=2)
+    spec = FrameSpec(start, add_months(start, 4), 2)
     assert spec.frame_count == 2
     assert spec.frame_of(start) == 0
     assert spec.frame_of(add_months(start, 2)) == 1  # boundary opens next frame
@@ -253,7 +275,7 @@ def test_frame_of_boundaries():
 def test_month_windows_count_from_the_span_start():
     # the day clamped at February's end does not carry into later frames
     start = parse_timestamp("2021-01-31T00:00:00Z")
-    spec = FrameSpec(start, add_months(start, 4), window_months=1)
+    spec = FrameSpec(start, add_months(start, 4), 1)
     assert [s for s, _e in spec.boundaries()] == [
         parse_timestamp(f"2021-{day}T00:00:00Z")
         for day in ("01-31", "02-28", "03-31", "04-30")
@@ -262,7 +284,7 @@ def test_month_windows_count_from_the_span_start():
 
 def test_timedelta_window():
     start = parse_timestamp("2021-01-01T00:00:00Z")
-    spec = FrameSpec(start, start + timedelta(days=10), window=timedelta(days=3))
+    spec = FrameSpec(start, start + timedelta(days=10), timedelta(days=3))
     assert spec.frame_count == 3  # 3+3+4 days
     assert spec.frame_of(start + timedelta(days=9, hours=23)) == 2
 
@@ -270,7 +292,7 @@ def test_timedelta_window():
 def test_spec_for_records_covers_everything():
     records = [_team("t1", ["a", "b"], ts="2021-01-15T00:00:00Z"),
                _team("t2", ["a", "b"], ts="2021-07-02T13:00:00Z")]
-    spec = spec_for_records(records, window_months=3)
+    spec = spec_for_records(records, 3)
     for r in records:
         spec.frame_of(r.timestamp)
 
@@ -284,7 +306,7 @@ def test_build_frames_places_links_and_counts_weights():
         _team("t3", ["a", "c"], ts="2021-02-10T00:00:00Z"),
     ]
     start = parse_timestamp("2021-01-01T00:00:00Z")
-    spec = FrameSpec(start, add_months(start, 2), window_months=1)
+    spec = FrameSpec(start, add_months(start, 2), 1)
     net = build_frames(records, spec)["full"]
     assert net.frame_count == 2
     assert net.frames[0].neighbors("a").get("b", 0) == 2
@@ -301,7 +323,7 @@ def test_build_frames_is_invariant_under_reordering():
               kind=rng.choice("AB"))
         for i in range(40)
     ]
-    spec = spec_for_records(records, window_months=1)
+    spec = spec_for_records(records, 1)
     want = build_frames(records, spec, ("A", "B"))
     for _ in range(5):
         got = build_frames(rng.sample(records, len(records)), spec, ("A", "B"))
@@ -313,7 +335,7 @@ def test_build_frames_is_invariant_under_reordering():
 def test_build_frames_rejects_outside_span():
     records = [_team("t1", ["a", "b"], ts="2021-01-10T00:00:00Z")]
     start = parse_timestamp("2022-01-01T00:00:00Z")
-    spec = FrameSpec(start, add_months(start, 1), window_months=1)
+    spec = FrameSpec(start, add_months(start, 1), 1)
     outside = "timestamp 2021-01-10T00:00:00+00:00 outside span"
     with pytest.raises(ValueError) as err:
         build_frames(records, spec)
@@ -330,7 +352,7 @@ def test_typed_network_filters_one_activity_type():
         _team("t1", ["a", "b"], ts="2021-01-10T00:00:00Z", kind="A"),
         _team("t2", ["b", "c"], ts="2021-01-12T00:00:00Z", kind="B"),
     ]
-    spec = spec_for_records(records, window_months=1)
+    spec = spec_for_records(records, 1)
     net_a = typed_network(records, spec, "A")
     assert net_a.frames[0].neighbors("a").get("b", 0) == 1
     assert net_a.frames[0].neighbors("b").get("c", 0) == 0

@@ -20,9 +20,9 @@ from .fixtures import adjacency_graph
 from .oracles import brute_coverage, naive_wks, random_weighted_adj
 
 
-def _network(frame_edges, members=None):
+def _network(frame_edges):
     frames = [FrameGraph.from_edges(i, edges) for i, edges in enumerate(frame_edges)]
-    return DynamicNetwork(frames, members)
+    return DynamicNetwork(frames)
 
 
 def test_weighted_degree_value_small_cases():

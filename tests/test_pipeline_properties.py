@@ -1,5 +1,6 @@
 """Whole-pipeline invariants on generated small logs."""
 
+import csv
 import json
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -69,6 +70,12 @@ def test_pipeline_invariants_on_generated_logs(records):
 
         summary = json.loads((out / "summary.json").read_text())
         assert summary["network"]["teams"] == len(records)
+        # the registry is the log's distinct members, one influence row each
+        members = {m for r in records for m in r.members}
+        assert summary["network"]["members"] == len(members)
+        with open(out / "network" / "influence.csv", newline="") as handle:
+            influence = list(csv.reader(handle))[1:]
+        assert [row[0] for row in influence] == sorted(members)
         assert summary["network"]["links"] == sum(comb(len(r.members), 2) for r in records)
         # the BM and GM profiles split the log's (team, member) pairs by type
         for x_block in summary["x"].values():
