@@ -56,28 +56,41 @@ def abstract(
     Raises:
         ValueError: if a member is assigned on both sides, or a frame node
             is assigned on neither.
+
+    The community graph is built over local ids directly: the BC keys
+    first, then the GC keys, each by ascending community id, which is the
+    keys' sorted order.  Each member edge adds its weight to the row of its
+    ends' communities, once from each end, unless both lie in one.
     """
     both = bsn_map.keys() & gsn_map.keys()
     if both:
         sample = sorted(both)[:3]
         raise ValueError(f"members assigned to both sub-networks: {sample}")
 
-    node_of = {m: (BACKBONE_CLASS, c) for m, c in bsn_map.items()}
-    node_of.update((m, (GENERAL_CLASS, c)) for m, c in gsn_map.items())
+    nodes: list[NodeKey] = []
+    local_of: dict[str, int] = {}
+    for cls, assignment in ((BACKBONE_CLASS, bsn_map), (GENERAL_CLASS, gsn_map)):
+        ids = sorted(set(assignment.values()))
+        local = {c: len(nodes) + k for k, c in enumerate(ids)}
+        nodes.extend((cls, c) for c in ids)
+        local_of.update((m, local[c]) for m, c in assignment.items())
 
-    missing = sorted(set(frame.nodes) - node_of.keys())[:3]
-    if missing:
+    keys = [local_of.get(m) for m in frame.nodes]
+    if None in keys:
+        missing = [m for m, k in zip(frame.nodes, keys) if k is None][:3]
         raise ValueError(f"frame members missing from both partitions: {missing}")
 
-    keys = [node_of[m] for m in frame.nodes]
     # intra-community links are hidden at this level
-    crossing = (
-        (keys[i], keys[j], w)
-        for i, row in enumerate(frame.rows)
-        for j, w in row.items()
-        if i < j and keys[i] != keys[j]
-    )
-    return FrameGraph.from_edges(frame.frame_index, crossing, node_of.values())
+    weights: list[dict[int, int]] = [{} for _ in nodes]
+    for i, row in enumerate(frame.rows):
+        a = keys[i]
+        target = weights[a]
+        for j, w in row.items():
+            b = keys[j]
+            if a != b:
+                target[b] = target.get(b, 0) + w
+    rows = [dict(sorted(row.items())) for row in weights]
+    return FrameGraph(frame.frame_index, nodes, rows)
 
 
 def density(graph: FrameGraph) -> float:

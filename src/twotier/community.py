@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .graph import FrameGraph, mean
@@ -91,9 +92,9 @@ class Partition:
 
     def communities(self) -> list[frozenset[str]]:
         """Member sets indexed by community id."""
-        groups: list[set[str]] = [set() for _ in range(self.community_count)]
+        groups: list[list[str]] = [[] for _ in range(self.community_count)]
         for node, c in self.assignment.items():
-            groups[c].add(node)
+            groups[c].append(node)
         return [frozenset(g) for g in groups]
 
 
@@ -316,13 +317,17 @@ PARTITION_COLUMNS = ["frame", "member_id", "community_id"]
 
 
 def write_partition_csv(path, partitions: Iterable[Partition]) -> None:
-    """Dump partitions as frame,member_id,community_id rows, sorted."""
+    """Dump partitions as frame,member_id,community_id rows, sorted; each
+    frame's rows go to the writer in one call."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(PARTITION_COLUMNS)
         for part in partitions:
-            for member in sorted(part.assignment):
-                writer.writerow([part.frame_index, member, part.assignment[member]])
+            assignment = part.assignment
+            members = sorted(assignment)
+            writer.writerows(
+                zip(repeat(part.frame_index), members, map(assignment.__getitem__, members))
+            )
 
 
 def read_partition_csv(path) -> dict[int, dict[str, int]]:

@@ -20,6 +20,8 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -67,8 +69,7 @@ class CommunityRef(NamedTuple):
         return cls(int(frame), int(community))
 
 
-@dataclass(frozen=True)
-class EvolutionEvent:
+class EvolutionEvent(NamedTuple):
     kind: EventKind
     frame: int
     track_id: int
@@ -82,7 +83,10 @@ class EvolutionEvent:
         return ATTRIBUTE[self.kind]
 
 
-def _as_sets(communities: Sequence[Collection[str]], label: str) -> list[frozenset[str]]:
+def _as_sets(
+    communities: Sequence[Collection[str]], label: str
+) -> tuple[list[frozenset[str]], dict[str, int]]:
+    """The communities as frozensets, and each member's community index."""
     out = []
     seen: dict[str, int] = {}
     for idx, members in enumerate(communities):
@@ -97,32 +101,33 @@ def _as_sets(communities: Sequence[Collection[str]], label: str) -> list[frozens
                 )
             seen[member] = idx
         out.append(group)
-    return out
+    return out, seen
 
 
 def _match(
     prev_sets: Sequence[frozenset[str]],
-    nxt_sets: Sequence[frozenset[str]],
+    prev_sizes: Sequence[int],
+    member_to_next: Mapping[str, int],
+    nxt_sizes: Sequence[int],
     alpha: float,
     beta: float,
-) -> tuple[dict[int, list[int]], dict[int, list[int]], dict[tuple[int, int], int]]:
+) -> tuple[list[list[int]], list[list[int]], dict[tuple[int, int], int]]:
     """Match communities of one frame to the next by fractional inclusion.
 
-    P matches N when |P & N| / |P| >= alpha or |P & N| / |N| >= beta.
-    Returns ``(succs, preds, overlap)``: ``succs[i]`` lists the matched
-    successor ids of predecessor i, ``preds[j]`` the matched predecessor ids
-    of successor j, and ``overlap[(i, j)]`` the shared member count of every
-    matched pair.  A community may match several on the other side; the
-    caller interprets the multiplicity.
+    P matches N when |P & N| / |P| >= alpha or |P & N| / |N| >= beta.  The
+    next frame is given by each member's community index and each
+    community's size.  Returns ``(succs, preds, overlap)``: ``succs[i]``
+    lists the matched successor ids of predecessor i, ``preds[j]`` the
+    matched predecessor ids of successor j, both ascending, and
+    ``overlap[(i, j)]`` the shared member count of every matched pair.  A
+    community may match several on the other side; the caller interprets
+    the multiplicity.
     """
-    member_to_next: dict[str, int] = {}
-    for j, group in enumerate(nxt_sets):
-        for member in group:
-            member_to_next[member] = j
-    succs: dict[int, list[int]] = {i: [] for i in range(len(prev_sets))}
-    preds: dict[int, list[int]] = {j: [] for j in range(len(nxt_sets))}
+    succs: list[list[int]] = [[] for _ in prev_sets]
+    preds: list[list[int]] = [[] for _ in nxt_sizes]
     overlap: dict[tuple[int, int], int] = {}
     for i, group in enumerate(prev_sets):
+        size = prev_sizes[i]
         tally: dict[int, int] = {}
         for member in group:
             j = member_to_next.get(member)
@@ -130,10 +135,10 @@ def _match(
                 tally[j] = tally.get(j, 0) + 1
         for j in sorted(tally):
             shared = tally[j]
-            if shared / len(group) >= alpha or shared / len(nxt_sets[j]) >= beta:
+            if shared / size >= alpha or shared / nxt_sizes[j] >= beta:
                 succs[i].append(j)
                 preds[j].append(i)
-                overlap[(i, j)] = shared
+                overlap[i, j] = shared
     return succs, preds, overlap
 
 
@@ -174,99 +179,71 @@ def classify(
     exit-side event (their future is unobserved).  Every event's
     ``size_before`` and ``size_after`` are the summed member counts of its
     predecessors and successors, or None when it has none.
+
+    Each occurrence's size, reference and track live in per-frame lists
+    indexed by community id, built as the frame is reached.
     """
     if not 0 < alpha <= 1 or not 0 < beta <= 1:
         raise ValueError(f"alpha and beta must lie in (0, 1], got {alpha}, {beta}")
     if not 0 < continue_jaccard <= 1:
         raise ValueError(f"continue_jaccard must lie in (0, 1], got {continue_jaccard}")
-    frames = [
-        _as_sets(frame_comms, f"frame {t}")
-        for t, frame_comms in enumerate(communities_by_frame)
-    ]
+    frames: list[list[frozenset[str]]] = []
+    sizes: list[list[int]] = []
+    refs: list[list[CommunityRef]] = []
+    tracks: list[list[int]] = []
     events: list[EvolutionEvent] = []
-    track_of: dict[CommunityRef, int] = {}
     pending: dict[int, CommunityRef] = {}  # track -> occurrence awaiting its fate
     waiting: dict[str, set[int]] = {}  # member -> pending tracks holding it
     next_track = 0
 
-    def size(refs: tuple[CommunityRef, ...]) -> int | None:
-        if not refs:
-            return None
-        return sum(len(frames[frame][community]) for frame, community in refs)
-
-    def emit(
-        kind: EventKind,
-        frame: int,
-        track: int,
-        preds: tuple[CommunityRef, ...] = (),
-        succs: tuple[CommunityRef, ...] = (),
-    ) -> None:
-        events.append(
-            EvolutionEvent(kind, frame, track, preds, succs, size(preds), size(succs))
-        )
-
-    def start_track(ref: CommunityRef) -> int:
-        nonlocal next_track
-        track = next_track
-        next_track += 1
-        track_of[ref] = track
-        return track
-
-    def suspend(track: int, ref: CommunityRef) -> None:
-        pending[track] = ref
-        for member in frames[ref.frame][ref.community]:
-            waiting.setdefault(member, set()).add(track)
-
-    def resume(track: int) -> CommunityRef:
-        ref = pending.pop(track)
-        for member in frames[ref.frame][ref.community]:
-            waiting[member].discard(track)
-        return ref
-
     # Frame 0 follows an empty frame, so every community of it forms.
-    for t in range(-1, len(frames) - 1):
-        prev, nxt = frames[t] if t >= 0 else [], frames[t + 1]
-        succs, preds, overlap = _match(prev, nxt, alpha, beta)
+    for u, frame_comms in enumerate(communities_by_frame):
+        t = u - 1
+        nxt, member_to_next = _as_sets(frame_comms, f"frame {u}")
+        frames.append(nxt)
+        sizes.append([len(group) for group in nxt])
+        refs.append([CommunityRef(u, j) for j in range(len(nxt))])
+        tracks.append([-1] * len(nxt))
+        prev = frames[t] if t >= 0 else []
+        prev_sizes, nxt_sizes = sizes[t] if t >= 0 else [], sizes[u]
+        prev_tracks, nxt_tracks = tracks[t], tracks[u]
+        prev_refs, nxt_refs = refs[t], refs[u]
+        succs, preds, overlap = _match(
+            prev, prev_sizes, member_to_next, nxt_sizes, alpha, beta
+        )
 
         # An exclusive one-to-one match of unchanged size that kept too few
         # members is no continuation; drop the match entirely.
-        for i in range(len(prev)):
-            if len(succs[i]) != 1:
+        for i, js in enumerate(succs):
+            if len(js) != 1:
                 continue
-            j = succs[i][0]
-            if preds[j] != [i] or len(prev[i]) != len(nxt[j]):
+            j = js[0]
+            size = prev_sizes[i]
+            if len(preds[j]) != 1 or size != nxt_sizes[j]:
                 continue
             shared = overlap[(i, j)]
-            union = len(prev[i]) + len(nxt[j]) - shared
-            if shared / union < continue_jaccard:
+            if shared / (size + size - shared) < continue_jaccard:
                 succs[i] = []
                 preds[j] = []
                 del overlap[(i, j)]
 
         # Thread tracks along mutual best-overlap matches.
-        best_succ = {
-            i: min(js, key=lambda j: (-overlap[(i, j)], j))
-            for i, js in succs.items()
-            if js
-        }
-        best_pred = {
-            j: min(is_, key=lambda i: (-overlap[(i, j)], i))
-            for j, is_ in preds.items()
-            if is_
-        }
-        for j in range(len(nxt)):
-            ref = CommunityRef(t + 1, j)
-            i = best_pred.get(j)
-            if i is not None and best_succ.get(i) == j:
-                track_of[ref] = track_of[CommunityRef(t, i)]
-            elif preds[j]:
+        for j, is_ in enumerate(preds):
+            if not is_:
+                continue
+            # the most shared members, then the smallest id
+            i = min(is_, key=lambda i: (-overlap[(i, j)], i))
+            if min(succs[i], key=lambda j: (-overlap[(i, j)], j)) == j:
+                nxt_tracks[j] = prev_tracks[i]
+            else:
                 # matched, but another successor carries the old identity on
-                start_track(ref)
+                nxt_tracks[j] = next_track
+                next_track += 1
 
         # Re-emergence test for unmatched successors against suspended tracks.
-        unmatched = [j for j in range(len(nxt)) if not preds[j]]
+        unmatched = [j for j, is_ in enumerate(preds) if not is_]
         candidates = _reemergence_candidates(
-            frames, t + 1, unmatched, pending, waiting, alpha, beta
+            frames, u, unmatched, pending, waiting, alpha, beta
         )
         resumed: dict[int, int] = {}  # successor j -> track
         used_tracks: set[int] = set()
@@ -277,49 +254,86 @@ def classify(
             used_tracks.add(track)
 
         for j in unmatched:
-            ref = CommunityRef(t + 1, j)
-            if j in resumed:
-                track = resumed[j]
-                old_ref = resume(track)
-                track_of[ref] = track
-                emit(EventKind.SUSPEND, old_ref.frame, track, (old_ref,))
-                emit(EventKind.REEMERGE, t + 1, track, (old_ref,), (ref,))
-            else:
-                emit(EventKind.FORM, t + 1, start_track(ref), succs=(ref,))
+            ref = nxt_refs[j]
+            track = resumed.get(j)
+            if track is None:
+                nxt_tracks[j] = next_track
+                events.append(EvolutionEvent(
+                    EventKind.FORM, u, next_track, (), (ref,), None, nxt_sizes[j]
+                ))
+                next_track += 1
+                continue
+            old_ref = pending.pop(track)
+            for member in frames[old_ref.frame][old_ref.community]:
+                waiting[member].discard(track)
+            nxt_tracks[j] = track
+            old = (old_ref,)
+            old_size = sizes[old_ref.frame][old_ref.community]
+            events.append(EvolutionEvent(
+                EventKind.SUSPEND, old_ref.frame, track, old, (), old_size, None
+            ))
+            events.append(EvolutionEvent(
+                EventKind.REEMERGE, u, track, old, (ref,), old_size, nxt_sizes[j]
+            ))
 
         # Size/identity events of the transition itself.
-        for j in range(len(nxt)):
-            ps = preds[j]
-            ref = CommunityRef(t + 1, j)
-            refs = tuple(CommunityRef(t, i) for i in ps)
+        for j, ps in enumerate(preds):
+            if not ps:
+                continue
+            size = nxt_sizes[j]
             if len(ps) >= 2:
-                emit(EventKind.MERGE, t + 1, track_of[ref], refs, (ref,))
-            elif len(ps) == 1:
-                i = ps[0]
-                if len(succs[i]) != 1:
-                    continue  # recorded as the predecessor's Split below
-                kind = EventKind.CONTINUE
-                if len(nxt[j]) > len(prev[i]):
-                    kind = EventKind.GROW
-                elif len(nxt[j]) < len(prev[i]):
-                    kind = EventKind.SHRINK
-                emit(kind, t + 1, track_of[ref], refs, (ref,))
-        for i in range(len(prev)):
-            ref = CommunityRef(t, i)
-            if len(succs[i]) >= 2:
-                refs = tuple(CommunityRef(t + 1, j) for j in succs[i])
-                emit(EventKind.SPLIT, t + 1, track_of[ref], (ref,), refs)
-            elif not succs[i]:
-                suspend(track_of[ref], ref)
+                events.append(EvolutionEvent(
+                    EventKind.MERGE, u, nxt_tracks[j],
+                    tuple(prev_refs[i] for i in ps), (nxt_refs[j],),
+                    sum(prev_sizes[i] for i in ps), size,
+                ))
+                continue
+            i = ps[0]
+            if len(succs[i]) != 1:
+                continue  # recorded as the predecessor's Split below
+            before = prev_sizes[i]
+            kind = EventKind.CONTINUE
+            if size > before:
+                kind = EventKind.GROW
+            elif size < before:
+                kind = EventKind.SHRINK
+            events.append(EvolutionEvent(
+                kind, u, nxt_tracks[j], (prev_refs[i],), (nxt_refs[j],), before, size
+            ))
+        for i, js in enumerate(succs):
+            ref = prev_refs[i]
+            if len(js) >= 2:
+                events.append(EvolutionEvent(
+                    EventKind.SPLIT, u, prev_tracks[i],
+                    (ref,), tuple(nxt_refs[j] for j in js),
+                    prev_sizes[i], sum(nxt_sizes[j] for j in js),
+                ))
+            elif not js:
+                track = prev_tracks[i]
+                pending[track] = ref
+                for member in prev[i]:
+                    held = waiting.get(member)
+                    if held is None:
+                        waiting[member] = {track}
+                    else:
+                        held.add(track)
 
     # Tracks that broke off and never came back dissolved at their last
     # frame.  Only frames before the last suspend, so none is in the last.
     for track, ref in sorted(pending.items()):
-        emit(EventKind.DISSOLVE, ref.frame, track, (ref,))
+        events.append(EvolutionEvent(
+            EventKind.DISSOLVE, ref.frame, track, (ref,), (),
+            sizes[ref.frame][ref.community], None,
+        ))
 
     events.sort(
         key=lambda e: (e.frame, _KIND_ORDER[e.kind], e.successors, e.predecessors)
     )
+    track_of = {
+        ref: track
+        for frame_refs, frame_tracks in zip(refs, tracks)
+        for ref, track in zip(frame_refs, frame_tracks)
+    }
     return Timeline(events, track_of)
 
 
@@ -402,24 +416,30 @@ EVENT_COLUMNS = [
 ]
 
 
+def _refs_field(refs: Sequence[CommunityRef]) -> str:
+    if len(refs) == 1:  # most events have one community on a side
+        frame, community = refs[0]
+        return f"{frame}:{community}"
+    return ";".join([f"{frame}:{community}" for frame, community in refs])
+
+
 def write_event_csv(path, events: Iterable[EvolutionEvent]) -> None:
-    """Dump events: frame,kind,attribute,track_id,predecessors,successors,sizes."""
+    """Dump events: frame,kind,attribute,track_id,predecessors,successors,sizes.
+
+    The bytes are those of one ``csv.writer`` row per event: no field
+    needs quoting, and an absent size is an empty field.  Each frame's rows
+    are joined into one write.
+    """
+    kinds = {kind: f"{kind.value},{ATTRIBUTE[kind]}" for kind in EventKind}
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(EVENT_COLUMNS)
-        for event in events:
-            writer.writerow(
-                [
-                    event.frame,
-                    event.kind.value,
-                    event.attribute,
-                    event.track_id,
-                    ";".join(str(r) for r in event.predecessors),
-                    ";".join(str(r) for r in event.successors),
-                    "" if event.size_before is None else event.size_before,
-                    "" if event.size_after is None else event.size_after,
-                ]
-            )
+        csv.writer(handle).writerow(EVENT_COLUMNS)
+        for _frame, rows in groupby(events, key=attrgetter("frame")):
+            handle.write("".join(
+                f"{frame},{kinds[kind]},{track},{_refs_field(preds)},"
+                f"{_refs_field(succs)},{'' if before is None else before},"
+                f"{'' if after is None else after}\r\n"
+                for kind, frame, track, preds, succs, before, after in rows
+            ))
 
 
 def read_event_csv(path) -> list[EvolutionEvent]:

@@ -8,11 +8,12 @@ frame with it, and :func:`aggregate` the all-frames graph; ``restrict``
 derives subgraphs from a built graph.  Graphs are immutable by convention:
 no public mutator exists and every algorithm builds new instances, so
 per-frame work can run concurrently without locking.  Tier one's
-closeness, aggregate shells and coverage curves and tier two's
-restrictions, community detections and frame metrics run on forked worker
-processes, and the runs stay bit-reproducible: each detection's seed
-depends only on the configured seed, the side of the split and the frame
-index, and the results are read back by (X, filter, side).
+closeness, aggregate shells and coverage curves, tier two's restrictions,
+community detections and frame metrics, and the network, partition and
+abstract files run on forked worker processes, and the runs stay
+bit-reproducible: each detection's seed depends only on the configured
+seed, the side of the split and the frame index, and the results are read
+back by (X, filter, side).
 """
 
 from __future__ import annotations

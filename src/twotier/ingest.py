@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -22,6 +23,15 @@ from typing import IO, Iterable, Iterator, Sequence
 from .graph import DynamicNetwork, FrameGraph
 
 CSV_HEADER = ["team_id", "activity_id", "activity_type", "timestamp", "members"]
+
+#: The repr of a value read from a log, in an error message: a long string
+#: keeps its two ends, a container its first items, each at most 60
+#: characters, so a message stays under 300 characters whatever the input.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 1
+_SHORT.maxstring = _SHORT.maxother = 60
+_SHORT.maxlist = _SHORT.maxtuple = _SHORT.maxset = _SHORT.maxfrozenset = 3
+_SHORT.maxdict = 1
 
 
 class ActivityType(str, Enum):
@@ -75,14 +85,14 @@ class TeamRecord:
 
     def __post_init__(self) -> None:
         if not self.members:
-            raise ValueError(f"team {self.team_id!r} has no members")
+            raise ValueError(f"team {_SHORT.repr(self.team_id)} has no members")
         ordered = tuple(sorted(self.members))
         if len(set(ordered)) != len(ordered):
-            raise ValueError(f"team {self.team_id!r} lists a member twice")
+            raise ValueError(f"team {_SHORT.repr(self.team_id)} lists a member twice")
         object.__setattr__(self, "members", ordered)
         object.__setattr__(self, "activity_type", ActivityType(self.activity_type))
         if self.timestamp.tzinfo is None:
-            raise ValueError(f"team {self.team_id!r} has a naive timestamp")
+            raise ValueError(f"team {_SHORT.repr(self.team_id)} has a naive timestamp")
 
 
 def parse_log(source: IO[str], format: str = "csv") -> list[TeamRecord]:
@@ -127,7 +137,9 @@ def _checked(value, kind: type, blank: str, line: int, field: str):
         raise LogParseError(blank, line=line, field=field)
     if not isinstance(value, kind):
         expected = "a list of strings" if kind is list else "a string"
-        raise LogParseError(f"expected {expected}, got {value!r}", line=line, field=field)
+        raise LogParseError(
+            f"expected {expected}, got {_SHORT.repr(value)}", line=line, field=field
+        )
     return value
 
 
@@ -141,14 +153,17 @@ def _record(fields: dict, line: int, names: dict[str, str]) -> TeamRecord:
         kind = ActivityType(fields["activity_type"].strip())
     except ValueError:
         raise LogParseError(
-            f"activity type must be A or B, got {fields['activity_type']!r}",
+            f"activity type must be A or B, got {_SHORT.repr(fields['activity_type'])}",
             line=line,
             field="activity_type",
         ) from None
     try:
         ts = parse_timestamp(fields["timestamp"])
     except ValueError as exc:
-        raise LogParseError(str(exc), line=line, field="timestamp") from None
+        reason = str(exc)
+        if len(reason) > 100:  # fromisoformat's message repeats the whole value
+            reason = f"invalid timestamp {_SHORT.repr(fields['timestamp'])}"
+        raise LogParseError(reason, line=line, field="timestamp") from None
     members = _checked(
         fields.get("members"), list, "missing or empty member list", line, "members"
     )
@@ -189,7 +204,8 @@ def _parse_csv(lines: Iterable[str]) -> list[TeamRecord]:
         return records
     if [h.strip() for h in header] != CSV_HEADER:
         raise LogParseError(
-            f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+            f"expected header {','.join(CSV_HEADER)!r}, "
+            f"got {_SHORT.repr(','.join(header))}",
             line=reader.line_num,
         )
     for row in rows:
@@ -215,7 +231,8 @@ def _parse_jsonl(lines: Iterable[str]) -> list[TeamRecord]:
             continue
         try:
             payload = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, or an integer over the interpreter's digit limit
             raise LogParseError(f"invalid JSON: {exc}", line=number) from None
         if not isinstance(payload, dict):
             raise LogParseError("row is not a JSON object", line=number)
@@ -422,7 +439,7 @@ def build_frames(
         try:
             by_frame[spec.frame_of(team.timestamp)].append(team)
         except ValueError as exc:
-            raise ValueError(f"team {team.team_id!r}: {exc}") from None
+            raise ValueError(f"team {_SHORT.repr(team.team_id)}: {exc}") from None
     frames: dict[str, list[FrameGraph]] = {"full": []}
     frames.update((kind.value, []) for kind in kinds)
     for t, teams in enumerate(by_frame):

@@ -272,10 +272,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     tier two (communities, evolution, abstraction).  Everything after the
     splits runs through :func:`_worker_pool`: tier one's closeness,
     aggregate shells and coverage curves go first, then tier two's
-    detections, then each (X, filter)'s frame metrics once its abstract
-    graphs exist.  The metric rows are read last, and each block's tier-two
-    means and edge weight totals come from them; the block's other results
-    are final as soon as its abstract graphs are built.
+    detections, which write the partition files, then the network files,
+    then each (X, filter)'s abstract file and frame metrics once its
+    abstract graphs exist.  The metric rows are read last, and each block's
+    tier-two means and edge weight totals come from them; the block's other
+    results are final as soon as its abstract graphs are built.  Every
+    item's result is read before the manifest is written, so a write that
+    fails on a worker fails the run.
 
     The previous bundle in ``out_dir`` is removed only once the log has
     been read and framed, so a log that fails to parse leaves it as it was.
@@ -294,8 +297,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         # a pool starts work in submission order, so the kernels whose
         # results are read first start before the detections
         kernels = [work.submit(step) for step in _TIER_ONE]
-        detections = work.detections()
-        _write_networks(networks, bundle)
+        detections = work.detections(bundle)
+        network_files = [
+            work.submit("write_edges", name, bundle.path(
+                "network/frames.csv" if name == "full" else f"network/frames_{name}.csv"
+            ))
+            for name in networks
+        ]
         member_stats, tier_one = _tier_one(
             teams, work.table, *(read() for read in kernels), bundle
         )
@@ -306,7 +314,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             xdir = f"x{x}"
             profiles, x_block = _profile_backbone(split, member_stats, bundle, xdir)
             for name, fnet in networks.items():
-                fdir = f"{xdir}/{name}"
+                fdir = _block_dir(x, name)
                 # popped, so a block's results are freed once it is analysed
                 detected = {side: detections.pop((x, name, side)) for side in _SIDES}
                 block, rows = _analyze_filter(
@@ -319,6 +327,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         for key, block, rows, fdir in pending:
             result.metrics[key] = _write_metrics(rows(), block, bundle, fdir)
             result.edge_totals[key] = block["tier2"]["edge_weight_totals"]
+        for written in network_files:
+            written()
     _write_index(bundle, config, summary)
     result.elapsed_seconds = time.perf_counter() - started
     return result
@@ -367,11 +377,9 @@ def _build_networks(records, spec, config: PipelineConfig):
     return networks, block, teams
 
 
-def _write_networks(networks, bundle: _Bundle) -> None:
-    """Each filter network's frame edges, under ``network/``."""
-    for name, net in networks.items():
-        suffix = "" if name == "full" else f"_{name}"
-        write_edge_csv(bundle.path(f"network/frames{suffix}.csv"), net.frames)
+def _block_dir(x, name: str) -> str:
+    """The bundle directory of one (X, filter) block."""
+    return f"x{x}/{name}"
 
 
 def _tier_one(teams, table: kshell.InfluenceTable, closeness_values,
@@ -459,11 +467,11 @@ class _Work:
 
     A worker inherits this object at fork, so only step names and each
     item's arguments cross to a worker, and small results come back.  The
-    arguments (block keys, abstract graphs) cross as one pickled ``bytes``
-    payload, made at submission, so an item that waits for a worker holds
-    no graph objects in this process.  Every step gives the same result in
-    any process: a detection's seed depends only on the run's seed, the
-    side and the frame index.
+    arguments (block keys, abstract graphs, bundle paths) cross as one
+    pickled ``bytes`` payload, made at submission, so an item that waits
+    for a worker holds no graph objects in this process.  Every step gives
+    the same result in any process: a detection's seed depends only on the
+    run's seed, the side and the frame index.
     """
 
     def __init__(self, config: PipelineConfig, networks) -> None:
@@ -487,8 +495,10 @@ class _Work:
 
         return self.pool.submit(_in_worker, step, pickle.dumps(args)).result
 
-    def detections(self) -> dict:
-        """A call per (X, filter, side) that gives that block's detections.
+    def detections(self, bundle: _Bundle) -> dict:
+        """A call per (X, filter, side) that gives that block's detections,
+        once it has written them to the block's partition file in
+        ``bundle``.
 
         On the pool, the blocks are submitted here, in key order.  Without
         a pool, a block runs when its call is made, so that its work falls
@@ -499,29 +509,46 @@ class _Work:
         has forked by now, except on a pool that forks on demand (Python
         3.10); a worker forked later is handed only frame metrics.
         """
-        keys = [(x, name, side) for x in self.splits for name in self.networks
-                for side in _SIDES]
-        if self.pool is None:
-            calls = {key: partial(self.detect, *key) for key in keys}
-        else:
-            calls = {key: self.submit("detect", *key) for key in keys}
+        calls = {}
+        for x in self.splits:
+            for name in self.networks:
+                for side in _SIDES:
+                    path = bundle.path(f"{_block_dir(x, name)}/partitions_{side}.csv")
+                    if self.pool is None:
+                        calls[x, name, side] = partial(self.detect, x, name, side, path)
+                    else:
+                        calls[x, name, side] = self.submit("detect", x, name, side, path)
         self.agg = None
         return calls
 
-    def detect(self, x, name: str, side: str) -> list[tuple[list[int], float, bool]]:
+    def detect(
+        self, x, name: str, side: str, path
+    ) -> list[tuple[list[int], float, bool]]:
         """Restrict each frame of filter ``name`` to one side's members and
-        run :func:`community.detect_local` on it with the frame's seed;
-        per frame, only labels, Q and the degenerate flag are returned."""
+        run :func:`community.detect_local` on it with the frame's seed, then
+        write the partitions to ``path``; per frame, only labels, Q and the
+        degenerate flag are returned.  A restriction's nodes are sorted, so
+        zipped with the labels they give the partition file's rows in order.
+        """
         field_name, offset = _SIDES[side]
         members = getattr(self.splits[x], field_name)
-        results = []
+        results, partitions = [], []
         for frame in self.networks[name].frames:
             sub = frame.restrict(members)
             seed = community.frame_seed(self.seed + offset, frame.frame_index)
-            results.append(
-                community.detect_local(sub.rows, sub.strengths, sub.total_weight, seed)
+            labels, q, degenerate = detected = community.detect_local(
+                sub.rows, sub.strengths, sub.total_weight, seed
             )
+            results.append(detected)
+            partitions.append(community.Partition(
+                frame.frame_index, dict(zip(sub.nodes, labels)), q, degenerate
+            ))
+        community.write_partition_csv(path, partitions)
         return results
+
+    def write_edges(self, name: str, path) -> None:
+        """Write filter ``name``'s frame edges to ``path``."""
+        write_edge_csv(path, self.networks[name].frames)
 
     def closeness(self) -> dict[str, float]:
         return closeness_all(self.agg)
@@ -541,7 +568,9 @@ class _Work:
         frames = self.networks["full"].frames
         return kshell.coverage_curve(frames, self.table.ranking(), self.curve_x)
 
-    def frame_rows(self, agraphs) -> list[dict]:
+    def frame_rows(self, agraphs, path) -> list[dict]:
+        """Write one block's abstract graphs to ``path``; their metric rows."""
+        abstraction.write_abstract_csv(path, agraphs)
         return [abstraction.frame_metrics(g) for g in agraphs]
 
 
@@ -574,15 +603,16 @@ def _worker_pool(work: _Work) -> Iterator[_Work]:
 
     With :func:`pool_workers` above 0, the steps go to a ``fork`` pool
     whose workers inherit the work; the pool takes items in submission
-    order, and the workers run ahead while this process writes, classifies
-    and abstracts.  A work item is one tier-one kernel, the detections of
-    one (X, filter, side), or the frame metrics of one (X, filter).
+    order, and the workers run ahead while this process classifies and
+    abstracts.  A work item is one tier-one kernel, the detections of one
+    (X, filter, side) with its partition file, one network file, or the
+    abstract file and frame metrics of one (X, filter).
     Otherwise each step runs here.  A worker's exception is raised when its
     result is read; a worker that dies raises ``BrokenProcessPool``.
     """
     edges = sum(f.edge_count for f in work.networks["full"].frames)
     blocks = len(work.splits) * len(work.networks)
-    items = len(_TIER_ONE) + blocks * len(_SIDES) + blocks
+    items = len(_TIER_ONE) + blocks * len(_SIDES) + len(work.networks) + blocks
     # a fork copies no thread but every lock, so a lock that another thread
     # of the caller holds would stay locked in the workers
     fork = hasattr(os, "fork") and threading.active_count() == 1
@@ -612,8 +642,7 @@ def _partitions(frames, members, detect):
     result from ``detect()``, its labels zipped with the restriction's
     sorted nodes."""
     for frame, (labels, q, degenerate) in zip(frames, detect(), strict=True):
-        nodes = [u for u in frame.nodes if u in members]
-        assignment = dict(zip(nodes, labels))
+        assignment = dict(zip(filter(members.__contains__, frame.nodes), labels))
         yield community.Partition(frame.frame_index, assignment, q, degenerate)
 
 
@@ -623,8 +652,8 @@ def _analyze_filter(
 ):
     """Tier two for one (X, filter) pair: communities of each side, from
     the detections that the call ``detected[side]`` gives, their evolution,
-    the community-level abstraction and, submitted to ``work``, its frame
-    metrics.
+    the community-level abstraction and, submitted to ``work``, its file
+    and frame metrics.
 
     Returns the pair's summary block, whose ``tier2`` entry lacks the
     metric means and edge weight totals until :func:`_write_metrics` adds
@@ -636,9 +665,6 @@ def _analyze_filter(
     for side, (field_name, _offset) in _SIDES.items():
         members = getattr(split, field_name)
         parts = community.detect_all(_partitions(fnet.frames, members, detected[side]))
-        community.write_partition_csv(
-            bundle.path(f"{fdir}/partitions_{side}.csv"), parts.partitions
-        )
         timeline = evolution.classify(
             evolution.timeline_from_partitions(parts.partitions),
             alpha=config.alpha,
@@ -657,8 +683,7 @@ def _analyze_filter(
         abstraction.abstract(frame, bsn.assignment, gsn.assignment)
         for frame, bsn, gsn in zip(fnet.frames, partitions["bsn"], partitions["gsn"])
     ]
-    abstraction.write_abstract_csv(bundle.path(f"{fdir}/abstract.csv"), agraphs)
-    rows = work.submit("frame_rows", agraphs)
+    rows = work.submit("frame_rows", agraphs, bundle.path(f"{fdir}/abstract.csv"))
     block["event_shares"] = evolution.event_shares(events)
     block["tier2"] = {"frames_with_edges": sum(1 for g in agraphs if g.edge_count)}
     return block, rows

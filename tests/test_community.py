@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import networkx as nx
@@ -5,6 +7,7 @@ import pytest
 
 from twotier import community
 from twotier.community import (
+    Partition,
     FramePartitionSet,
     detect,
     detect_all,
@@ -263,3 +266,26 @@ def test_detect_equals_full_sweep_kernel(monkeypatch, max_sweeps):
             slow = detect(g, seed=trial)
         assert fast.assignment == slow.assignment
         assert fast.q == slow.q
+
+
+def test_partition_csv_writes_one_csv_writer_row_per_member(tmp_path):
+    # names the writer must quote, an empty one, and names that sort apart
+    names = ["", "a,b", 'say "hi"', "new\nline", "cr\rx", " lead", "é2", "m10", "m9", "M1"]
+    rng = random.Random(6)
+    parts = [
+        Partition(t, {n: rng.randrange(4) for n in rng.sample(names, rng.randint(0, 10))},
+                  0.0)
+        for t in range(5)
+    ]
+    reference = io.StringIO()
+    writer = csv.writer(reference)
+    writer.writerow(["frame", "member_id", "community_id"])
+    for part in parts:
+        for member in sorted(part.assignment):
+            writer.writerow([part.frame_index, member, part.assignment[member]])
+    path = tmp_path / "partitions.csv"
+    write_partition_csv(path, parts)
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+    assert read_partition_csv(path) == {
+        p.frame_index: p.assignment for p in parts if p.assignment
+    }

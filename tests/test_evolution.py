@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -239,6 +241,31 @@ def test_event_csv_round_trip(tmp_path):
         assert a.predecessors == b.predecessors
         assert a.successors == b.successors
         assert a.track_id == b.track_id
+
+
+def test_event_csv_writes_one_csv_writer_row_per_event(tmp_path):
+    """The bulk writer's bytes are the csv module's, for every event kind,
+    merges and splits with several communities on one side, and absent
+    sizes."""
+    frames, _ = scripted_event_timeline()
+    events = classify(frames).events
+    assert {e.kind for e in events} == set(EventKind)
+    assert any(len(e.successors) > 1 for e in events)
+    assert any(len(e.predecessors) > 1 for e in events)
+    reference = io.StringIO()
+    writer = csv.writer(reference)
+    writer.writerow(evolution.EVENT_COLUMNS)
+    for e in events:
+        writer.writerow([
+            e.frame, e.kind.value, e.attribute, e.track_id,
+            ";".join(str(r) for r in e.predecessors),
+            ";".join(str(r) for r in e.successors),
+            "" if e.size_before is None else e.size_before,
+            "" if e.size_after is None else e.size_after,
+        ])
+    path = tmp_path / "events.csv"
+    write_event_csv(path, events)
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
 
 
 def test_timeline_from_partitions_orders_by_frame():

@@ -234,6 +234,69 @@ def test_parse_log_jsonl_rejects_deep_nesting():
     assert err.value.line == 2
 
 
+def _jsonl_row(**fields):
+    row = {"team_id": "t1", "activity_id": "a", "activity_type": "A",
+           "timestamp": "2021-01-04T09:00:00Z", "members": ["x", "y"], **fields}
+    return json.dumps(row) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, fmt, field, shown",
+    [
+        # a value of the wrong type
+        (_jsonl_row(team_id=["m"] * 10**5), "jsonl", "team_id", "['m', 'm', 'm', ...]"),
+        # an activity type that is neither A nor B
+        (_jsonl_row(activity_type="C" * 10**6), "jsonl", "activity_type", "'CCC"),
+        # a timestamp the parser rejects
+        (_jsonl_row(timestamp="x" * 10**5), "jsonl", "timestamp", "'xxx"),
+        # the team id in the record's own checks
+        (_jsonl_row(team_id="t" * 10**5, members=["x", "x"]), "jsonl", "members", "'ttt"),
+        # the CSV header
+        ("h" * 10**5 + "\n", "csv", None, "'hhh"),
+    ],
+)
+def test_parse_errors_show_a_long_value_cut_short(text, fmt, field, shown):
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO(text), format=fmt)
+    message = str(err.value)
+    assert len(message) < 300
+    assert shown in message and "..." in message
+    assert err.value.field == field
+    if field is not None:
+        assert message.endswith(f"(field {field!r})")
+    else:
+        assert "expected header 'team_id,activity_id," in message
+
+
+def test_parse_log_jsonl_names_the_line_of_a_huge_number():
+    # past the interpreter's integer digit limit the decoder itself fails;
+    # without the limit the number is the wrong type; both name the line
+    text = _jsonl_row() + '{"team_id": ' + "1" * 5000 + "}\n"
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO(text), format="jsonl")
+    assert err.value.line == 2
+    assert len(str(err.value)) < 300
+
+
+def test_parse_errors_show_a_short_value_whole():
+    # a short timestamp keeps the parser's own message
+    for stamp in ("2021-01-04T09:00:00Zx", "2021-13-01T00:00:00Z"):
+        with pytest.raises(ValueError) as parsed:
+            parse_timestamp(stamp)
+        with pytest.raises(LogParseError) as err:
+            parse_log(io.StringIO(_jsonl_row(timestamp=stamp)), "jsonl")
+        assert str(err.value) == f"line 1: {parsed.value} (field 'timestamp')"
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO(_jsonl_row(team_id="t7", members=["x", "x"])), "jsonl")
+    assert str(err.value) == "line 1: team 't7' lists a member twice (field 'members')"
+    with pytest.raises(LogParseError) as err:
+        parse_log(io.StringIO("team_id,activity_id\n"), "csv")
+    assert str(err.value) == (
+        "line 1: expected header 'team_id,activity_id,activity_type,timestamp,members', "
+        "got 'team_id,activity_id'"
+    )
+
+
 # --- frame spec -----------------------------------------------------------
 
 def test_frame_spec_rejects_non_positive_window():

@@ -2,6 +2,7 @@
 detections and frame metrics): the same bundle, a bounded worker count,
 and failures that reach the caller."""
 
+import collections
 import gc
 import json
 import multiprocessing
@@ -13,7 +14,7 @@ import warnings
 
 import pytest
 
-from twotier import cli, community, report, synth
+from twotier import abstraction, cli, community, evolution, report, synth
 from twotier.graph import AGGREGATE_FRAME, FrameGraph
 from twotier.ingest import TeamRecord
 from twotier.report import PipelineConfig, pool_workers, run_pipeline
@@ -129,6 +130,59 @@ def test_worker_failure_is_raised_and_pool_reaped(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=needs_fork)])
+def test_counted_calls_stay_in_this_process(tmp_path, monkeypatch, pooled):
+    """The calls a traced run counts (detections read, timelines, abstract
+    graphs) run here, as often as in-process, while the workers write the
+    partition, network and abstract files."""
+    chosen = _force_pool(monkeypatch) if pooled else []
+    calls = tmp_path / "calls"
+    for module, name in ((community, "detect_all"), (evolution, "classify"),
+                         (abstraction, "abstract")):
+        def recorded(*args, _name=name, _call=getattr(module, name), **kwargs):
+            with open(calls, "a") as handle:
+                handle.write(f"{_name} {os.getpid()}\n")
+            return _call(*args, **kwargs)
+
+        # patched before the pool forks, so a worker would inherit it
+        monkeypatch.setattr(module, name, recorded)
+    result = run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path / "out")))
+    assert chosen == ([2] if pooled else [])
+    lines = [line.split() for line in calls.read_text().splitlines()]
+    assert {int(pid) for _name, pid in lines} == {os.getpid()}
+    blocks = 3 * 3  # X values times filters
+    frames = result.network.frame_count
+    assert sorted(collections.Counter(name for name, _pid in lines).items()) == [
+        ("abstract", blocks * frames), ("classify", blocks * 2), ("detect_all", blocks * 2)
+    ]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=needs_fork)])
+@pytest.mark.parametrize("module, writer", [
+    (community, "write_partition_csv"),
+    (report, "write_edge_csv"),
+    (abstraction, "write_abstract_csv"),
+])
+def test_failed_worker_write_fails_the_run(tmp_path, monkeypatch, pooled, module, writer):
+    """A file a worker writes fails the run as one written here would: its
+    error is raised, and no manifest is written."""
+    chosen = _force_pool(monkeypatch) if pooled else []
+
+    def full(*args):
+        raise OSError(os.getpid(), "no space left on device")
+
+    # patched before the pool forks, so the workers inherit it
+    monkeypatch.setattr(module, writer, full)
+    with pytest.raises(OSError) as raised:
+        run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
+    assert chosen == ([2] if pooled else [])
+    assert raised.value.args[1] == "no space left on device"
+    assert (raised.value.args[0] != os.getpid()) == pooled
+    assert not (tmp_path / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
+
+
 def _kill_workers(monkeypatch):
     """Make every worker exit hard in its first detection, as if the kernel
     had killed it; patched before the pool forks."""
@@ -186,8 +240,8 @@ def test_one_work_item_per_x_filter_and_side(tmp_path, monkeypatch):
     dropped = []
     detections = report._Work.detections
 
-    def submitting(self):
-        calls = detections(self)
+    def submitting(self, bundle):
+        calls = detections(self, bundle)
         dropped.append(self.agg is None)
         return calls
 
@@ -195,15 +249,17 @@ def test_one_work_item_per_x_filter_and_side(tmp_path, monkeypatch):
     result = run_pipeline(PipelineConfig(out_dir=str(pooled), **config))
     assert chosen == [2]
     assert result.network.frame_count > 1
-    # detections per (X, filter, side), tier one's three kernels, and frame
-    # metrics per (X, filter); none of them is per frame
-    assert len(submitted) == 2 * 3 * 2 + 3 + 2 * 3
+    # detections per (X, filter, side), tier one's three kernels, a network
+    # file per filter, and frame metrics per (X, filter); none of them is
+    # per frame
+    assert len(submitted) == 2 * 3 * 2 + 3 + 3 + 2 * 3
     # each item's arguments cross as one pickled payload
     assert [(fn, type(payload)) for fn, _step, payload in submitted] == [
         (report._in_worker, bytes)
     ] * len(submitted)
     assert {step for _fn, step, _payload in submitted} == {
-        "closeness", "aggregate_shells", "dwks_curve", "detect", "frame_rows"
+        "closeness", "aggregate_shells", "dwks_curve", "detect", "write_edges",
+        "frame_rows",
     }
     # the aggregate graph is gone once its last readers are submitted
     assert dropped == [True]
