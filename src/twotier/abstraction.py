@@ -111,7 +111,9 @@ def betweenness(graph: FrameGraph) -> dict[NodeKey, float]:
 
     Brandes' algorithm (J. Math. Sociol. 2001) on the graph's local ids.
     A source without neighbours reaches no one and adds exactly 0, so it
-    is skipped.
+    is skipped.  The backward pass finds each node's predecessors among its
+    neighbours, one hop nearer the source, instead of keeping lists of
+    them; each ``delta[v]`` still takes its additions in the same order.
     """
     nbrs = [list(row) for row in graph.rows]
     n = len(nbrs)
@@ -121,7 +123,6 @@ def betweenness(graph: FrameGraph) -> dict[NodeKey, float]:
             continue
         # single-source shortest-path counts (breadth-first)
         stack = [source]
-        preds: list[list[int]] = [[] for _ in range(n)]
         sigma = [0.0] * n
         sigma[source] = 1.0
         dist = [-1] * n
@@ -134,12 +135,12 @@ def betweenness(graph: FrameGraph) -> dict[NodeKey, float]:
                     stack.append(u)
                 if dist[u] == dv:
                     sigma[u] += sigma[v]
-                    preds[u].append(v)
         delta = [0.0] * n
         for w in reversed(stack):
-            sw, dw = sigma[w], 1.0 + delta[w]
-            for v in preds[w]:
-                delta[v] += (sigma[v] / sw) * dw
+            sw, dw, up = sigma[w], 1.0 + delta[w], dist[w] - 1
+            for v in nbrs[w]:
+                if dist[v] == up:
+                    delta[v] += (sigma[v] / sw) * dw
             if w != source:
                 score[w] += delta[w]
     # each unordered pair was counted from both endpoints

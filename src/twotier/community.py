@@ -288,28 +288,17 @@ class FramePartitionSet:
     degenerate_frames: list[int] = field(default_factory=list)
 
 
-def detect_all(
-    frames: Iterable[FrameGraph | Partition], seed: int = 42
-) -> FramePartitionSet:
-    """Run detection over a frame sequence with per-frame derived seeds.
+def detect_all(partitions: Iterable[Partition]) -> FramePartitionSet:
+    """Collect a frame sequence's partitions with their average Q and
+    degenerate frames.
 
-    ``frames`` is read once and in order, so a generator of restrictions
-    holds one restricted graph at a time.  It may also yield partitions
-    already detected elsewhere, such as in a worker process; those are
-    taken as they are.
+    ``partitions`` is read once and in order, so a generator that detects
+    each frame when asked, as :func:`detect` composed with
+    :func:`frame_seed`, runs its detections inside this call.
     """
-    partitions = []
-    analyzed = []
-    degenerate = []
-    for frame in frames:
-        part = frame
-        if not isinstance(frame, Partition):
-            part = detect(frame, seed=frame_seed(seed, frame.frame_index))
-        partitions.append(part)
-        if part.assignment:
-            analyzed.append(part.q)
-            if part.degenerate:
-                degenerate.append(part.frame_index)
+    partitions = list(partitions)
+    analyzed = [p.q for p in partitions if p.assignment]
+    degenerate = [p.frame_index for p in partitions if p.assignment and p.degenerate]
     return FramePartitionSet(partitions, mean(analyzed), degenerate)
 
 

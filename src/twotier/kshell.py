@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import DynamicNetwork, FrameGraph, aggregate, mean
+from .graph import DynamicNetwork, FrameGraph, mean
 
 
 def weighted_degree_value(degree: int, weight_sum: int) -> int:
@@ -113,17 +113,13 @@ class InfluenceTable:
         }
 
 
-def dynamic_influence(
-    network: DynamicNetwork, aggregate_graph: FrameGraph | None = None
-) -> InfluenceTable:
+def dynamic_influence(network: DynamicNetwork, aggregate_graph: FrameGraph) -> InfluenceTable:
     """Frame-by-frame decomposition accumulated into influence scores.
 
-    Every member gets a row.  The rows are the aggregate graph's nodes,
-    which are exactly the network's members.  Passing a precomputed
-    aggregate graph avoids rebuilding it.
+    Every member gets a row.  The rows are the nodes of ``aggregate_graph``,
+    the network's :func:`~twotier.graph.aggregate`, which are exactly the
+    network's members; its degrees break ranking ties.
     """
-    if aggregate_graph is None:
-        aggregate_graph = aggregate(network)
     total = dict.fromkeys(aggregate_graph.nodes, 0)
     tiebreak = dict(zip(aggregate_graph.nodes, map(len, aggregate_graph.rows)))
     active = dict.fromkeys(total, 0)

@@ -317,9 +317,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 fdir = _block_dir(x, name)
                 # popped, so a block's results are freed once it is analysed
                 detected = {side: detections.pop((x, name, side)) for side in _SIDES}
-                block, rows = _analyze_filter(
-                    fnet, split, detected, work, config, bundle, fdir
-                )
+                block, rows = _analyze_filter(fnet, detected, work, config, bundle, fdir)
                 x_block["filters"][name] = block
                 pending.append(((x, name), block, rows, fdir))
             result.splits[x], result.profiles[x] = split, profiles
@@ -466,7 +464,8 @@ class _Work:
     :meth:`detections` drops it.
 
     A worker inherits this object at fork, so only step names and each
-    item's arguments cross to a worker, and small results come back.  The
+    item's arguments cross to a worker, and only results come back: a
+    detection's partitions, a kernel's values, a block's metric rows.  The
     arguments (block keys, abstract graphs, bundle paths) cross as one
     pickled ``bytes`` payload, made at submission, so an item that waits
     for a worker holds no graph objects in this process.  Every step gives
@@ -496,7 +495,7 @@ class _Work:
         return self.pool.submit(_in_worker, step, pickle.dumps(args)).result
 
     def detections(self, bundle: _Bundle) -> dict:
-        """A call per (X, filter, side) that gives that block's detections,
+        """A call per (X, filter, side) that gives that block's partitions,
         once it has written them to the block's partition file in
         ``bundle``.
 
@@ -521,30 +520,21 @@ class _Work:
         self.agg = None
         return calls
 
-    def detect(
-        self, x, name: str, side: str, path
-    ) -> list[tuple[list[int], float, bool]]:
-        """Restrict each frame of filter ``name`` to one side's members and
-        run :func:`community.detect_local` on it with the frame's seed, then
-        write the partitions to ``path``; per frame, only labels, Q and the
-        degenerate flag are returned.  A restriction's nodes are sorted, so
-        zipped with the labels they give the partition file's rows in order.
-        """
+    def detect(self, x, name: str, side: str, path) -> list[community.Partition]:
+        """Detect the communities of each frame of filter ``name``,
+        restricted to one side's members, with the frame's seed; write the
+        partitions to ``path`` and return them."""
         field_name, offset = _SIDES[side]
         members = getattr(self.splits[x], field_name)
-        results, partitions = [], []
-        for frame in self.networks[name].frames:
-            sub = frame.restrict(members)
-            seed = community.frame_seed(self.seed + offset, frame.frame_index)
-            labels, q, degenerate = detected = community.detect_local(
-                sub.rows, sub.strengths, sub.total_weight, seed
+        partitions = [
+            community.detect(
+                frame.restrict(members),
+                community.frame_seed(self.seed + offset, frame.frame_index),
             )
-            results.append(detected)
-            partitions.append(community.Partition(
-                frame.frame_index, dict(zip(sub.nodes, labels)), q, degenerate
-            ))
+            for frame in self.networks[name].frames
+        ]
         community.write_partition_csv(path, partitions)
-        return results
+        return partitions
 
     def write_edges(self, name: str, path) -> None:
         """Write filter ``name``'s frame edges to ``path``."""
@@ -637,21 +627,18 @@ def _worker_pool(work: _Work) -> Iterator[_Work]:
         work.pool.shutdown(cancel_futures=True)
 
 
-def _partitions(frames, members, detect):
-    """Each frame's partition of its restriction to ``members``: the frame's
-    result from ``detect()``, its labels zipped with the restriction's
-    sorted nodes."""
-    for frame, (labels, q, degenerate) in zip(frames, detect(), strict=True):
-        assignment = dict(zip(filter(members.__contains__, frame.nodes), labels))
-        yield community.Partition(frame.frame_index, assignment, q, degenerate)
+def _partitions(detect):
+    """The partitions that ``detect()`` gives, called only once the first
+    one is asked for: without a pool, the detections then run inside the
+    ``community.detect_all`` that reads them."""
+    yield from detect()
 
 
 def _analyze_filter(
-    fnet, split, detected, work: _Work, config: PipelineConfig, bundle: _Bundle,
-    fdir: str,
+    fnet, detected, work: _Work, config: PipelineConfig, bundle: _Bundle, fdir: str
 ):
-    """Tier two for one (X, filter) pair: communities of each side, from
-    the detections that the call ``detected[side]`` gives, their evolution,
+    """Tier two for one (X, filter) pair: communities of each side, the
+    partitions that the call ``detected[side]`` gives, their evolution,
     the community-level abstraction and, submitted to ``work``, its file
     and frame metrics.
 
@@ -662,9 +649,8 @@ def _analyze_filter(
     """
     block: dict = {}
     partitions, events = {}, {}
-    for side, (field_name, _offset) in _SIDES.items():
-        members = getattr(split, field_name)
-        parts = community.detect_all(_partitions(fnet.frames, members, detected[side]))
+    for side in _SIDES:
+        parts = community.detect_all(_partitions(detected[side]))
         timeline = evolution.classify(
             evolution.timeline_from_partitions(parts.partitions),
             alpha=config.alpha,

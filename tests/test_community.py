@@ -11,6 +11,7 @@ from twotier.community import (
     FramePartitionSet,
     detect,
     detect_all,
+    frame_seed,
     modularity,
     read_partition_csv,
     write_partition_csv,
@@ -166,10 +167,15 @@ def test_communities_renumbered_by_smallest_member():
     assert comms[0] == frozenset({"a0", "a1", "a2"})
 
 
+def _detect_frames(frames, seed):
+    """Each frame's partition, detected with its frame seed, summarised."""
+    return detect_all(detect(f, frame_seed(seed, f.frame_index)) for f in frames)
+
+
 def test_detect_all_aggregates_q(tmp_path):
     f0 = FrameGraph.from_edges(0, _clique("a", 4) + _clique("b", 4))
     f1 = FrameGraph.from_edges(1, [], nodes=["x", "y"])
-    result = detect_all([f0, f1], seed=9)
+    result = _detect_frames([f0, f1], seed=9)
     assert isinstance(result, FramePartitionSet)
     assert len(result.partitions) == 2
     assert result.degenerate_frames == [1]
@@ -184,16 +190,16 @@ def test_detect_all_aggregates_q(tmp_path):
 
     # frame indices need not be list positions: the mean runs in list order
     lone = FrameGraph.from_edges(3, [("a", "b", 1), ("b", "c", 2)])
-    single = detect_all([lone], seed=9)
+    single = _detect_frames([lone], seed=9)
     assert single.partitions[0].frame_index == 3
     assert single.average_q == single.partitions[0].q
     f2 = FrameGraph.from_edges(2, _clique("c", 3) + _clique("d", 5))
     empty = FrameGraph.from_edges(1, [])
-    gapped = detect_all([f0, f2], seed=9)
+    gapped = _detect_frames([f0, f2], seed=9)
     assert [p.frame_index for p in gapped.partitions] == [0, 2]
     assert gapped.average_q == (gapped.partitions[0].q + gapped.partitions[1].q) / 2
     # a frame without nodes gets an empty partition and stays out of the mean
-    with_empty = detect_all([f0, empty, f2], seed=9)
+    with_empty = _detect_frames([f0, empty, f2], seed=9)
     assert with_empty.partitions[1].assignment == {}
     assert with_empty.average_q == gapped.average_q
 

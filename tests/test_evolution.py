@@ -269,12 +269,12 @@ def test_event_csv_writes_one_csv_writer_row_per_event(tmp_path):
 
 
 def test_timeline_from_partitions_orders_by_frame():
-    from twotier.community import detect_all
+    from twotier.community import detect, detect_all, frame_seed
     from twotier.graph import FrameGraph
 
     f0 = FrameGraph.from_edges(0, [("a", "b", 1), ("c", "d", 1)])
     f1 = FrameGraph.from_edges(1, [("a", "b", 1)])
-    parts = detect_all([f0, f1], seed=2).partitions
+    parts = detect_all(detect(f, frame_seed(2, f.frame_index)) for f in [f0, f1]).partitions
     frames = timeline_from_partitions(parts)
     assert len(frames) == 2
     assert F({"a", "b"}) in frames[0]

@@ -68,7 +68,7 @@ def test_influence_is_sum_of_per_frame_shells():
         [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)],
         [("a", "b", 1)],
     ])
-    table = dynamic_influence(net)
+    table = dynamic_influence(net, aggregate(net))
     per_frame = [wks_decompose(g) for g in net.frames]
     for m in ("a", "b", "c"):
         want = sum(sh.get(m, 0) for sh in per_frame)
@@ -81,7 +81,7 @@ def test_influence_is_sum_of_per_frame_shells():
 
 def test_ranking_tiebreaks_by_degree_then_id():
     net = _network([[("a", "b", 1), ("c", "d", 1), ("c", "e", 1)]])
-    table = dynamic_influence(net)
+    table = dynamic_influence(net, aggregate(net))
     ranking = table.ranking()
     # all shells equal here, so aggregate degree decides; c has degree 2
     assert ranking[0] == "c"
@@ -104,7 +104,7 @@ def test_backbone_size_floor_and_minimum():
 
 def test_select_backbone_splits_frames_and_counts_cross_links():
     net = _network([[("a", "b", 2), ("b", "c", 1), ("c", "d", 1), ("a", "c", 1)]])
-    table = dynamic_influence(net)
+    table = dynamic_influence(net, aggregate(net))
     split = select_backbone(table, 50)
     assert len(split.backbone) == 2
     assert split.backbone | split.general == net.members
@@ -181,7 +181,7 @@ def test_coverage_curves_are_monotone_and_comparable():
 
 def test_csv_writers(tmp_path):
     net = _network([[("a", "b", 1)]])
-    table = dynamic_influence(net)
+    table = dynamic_influence(net, aggregate(net))
     p1 = tmp_path / "influence.csv"
     write_influence_csv(p1, table)
     header = p1.read_text().splitlines()[0]

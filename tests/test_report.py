@@ -88,12 +88,12 @@ def test_load_config_file_and_overrides(tmp_path):
 
 
 def test_member_profiles_group_averages():
-    from twotier.graph import DynamicNetwork, FrameGraph
+    from twotier.graph import DynamicNetwork, FrameGraph, aggregate
     from twotier.kshell import dynamic_influence, select_backbone
 
     g = FrameGraph.from_edges(0, [("a", "b", 3), ("a", "c", 1), ("b", "c", 1)])
     net = DynamicNetwork([g])
-    table = dynamic_influence(net)
+    table = dynamic_influence(net, aggregate(net))
     split = select_backbone(table, 34)
     stats = {
         "degree": {m: g.degree(m) for m in net.members},
