@@ -90,13 +90,6 @@ class Partition:
     def community_count(self) -> int:
         return max(self.assignment.values(), default=-1) + 1
 
-    def communities(self) -> list[frozenset[str]]:
-        """Member sets indexed by community id."""
-        groups: list[list[str]] = [[] for _ in range(self.community_count)]
-        for node, c in self.assignment.items():
-            groups[c].append(node)
-        return [frozenset(g) for g in groups]
-
 
 def _move_nodes(
     adj: Sequence[Mapping[int, float]],

@@ -83,62 +83,55 @@ class EvolutionEvent(NamedTuple):
         return ATTRIBUTE[self.kind]
 
 
-def _as_sets(
-    communities: Sequence[Collection[str]], label: str
-) -> tuple[list[frozenset[str]], dict[str, int]]:
-    """The communities as frozensets, and each member's community index."""
-    out = []
-    seen: dict[str, int] = {}
-    for idx, members in enumerate(communities):
-        group = frozenset(members)
-        if not group:
-            raise ValueError(f"{label}: community {idx} is empty")
-        for member in group:
-            if member in seen:
-                raise ValueError(
-                    f"{label}: member {member!r} appears in communities "
-                    f"{seen[member]} and {idx}"
-                )
-            seen[member] = idx
-        out.append(group)
-    return out, seen
+def _sizes(assignment: Mapping[str, int], label: str) -> list[int]:
+    """Each community's member count, by id; the ids must run 0..C-1."""
+    counts = Counter(assignment.values())
+    sizes = [counts[c] for c in range(len(counts))]
+    if 0 in sizes:
+        raise ValueError(f"{label}: community {sizes.index(0)} is empty")
+    return sizes
+
+
+def _members(assignment: Mapping[str, int], ids: Iterable[int]) -> dict[int, list[str]]:
+    """The members of the communities ``ids``, keyed by id."""
+    groups: dict[int, list[str]] = {c: [] for c in ids}
+    if groups:
+        for member, c in assignment.items():
+            group = groups.get(c)
+            if group is not None:
+                group.append(member)
+    return groups
 
 
 def _match(
-    prev_sets: Sequence[frozenset[str]],
+    prev: Mapping[str, int],
     prev_sizes: Sequence[int],
-    member_to_next: Mapping[str, int],
+    nxt: Mapping[str, int],
     nxt_sizes: Sequence[int],
     alpha: float,
     beta: float,
 ) -> tuple[list[list[int]], list[list[int]], dict[tuple[int, int], int]]:
     """Match communities of one frame to the next by fractional inclusion.
 
-    P matches N when |P & N| / |P| >= alpha or |P & N| / |N| >= beta.  The
-    next frame is given by each member's community index and each
-    community's size.  Returns ``(succs, preds, overlap)``: ``succs[i]``
-    lists the matched successor ids of predecessor i, ``preds[j]`` the
-    matched predecessor ids of successor j, both ascending, and
-    ``overlap[(i, j)]`` the shared member count of every matched pair.  A
-    community may match several on the other side; the caller interprets
-    the multiplicity.
+    P matches N when |P & N| / |P| >= alpha or |P & N| / |N| >= beta.  Each
+    frame is given by each member's community id and each community's
+    size.  Returns ``(succs, preds, overlap)``: ``succs[i]`` lists the
+    matched successor ids of predecessor i, ``preds[j]`` the matched
+    predecessor ids of successor j, both ascending, and ``overlap[(i, j)]``
+    the shared member count of every matched pair.  A community may match
+    several on the other side; the caller interprets the multiplicity.
     """
-    succs: list[list[int]] = [[] for _ in prev_sets]
+    succs: list[list[int]] = [[] for _ in prev_sizes]
     preds: list[list[int]] = [[] for _ in nxt_sizes]
     overlap: dict[tuple[int, int], int] = {}
-    for i, group in enumerate(prev_sets):
-        size = prev_sizes[i]
-        tally: dict[int, int] = {}
-        for member in group:
-            j = member_to_next.get(member)
-            if j is not None:
-                tally[j] = tally.get(j, 0) + 1
-        for j in sorted(tally):
-            shared = tally[j]
-            if shared / size >= alpha or shared / nxt_sizes[j] >= beta:
-                succs[i].append(j)
-                preds[j].append(i)
-                overlap[i, j] = shared
+    common = prev.keys() & nxt.keys()
+    tally = Counter(zip(map(prev.__getitem__, common), map(nxt.__getitem__, common)))
+    for i, j in sorted(tally):
+        shared = tally[i, j]
+        if shared / prev_sizes[i] >= alpha or shared / nxt_sizes[j] >= beta:
+            succs[i].append(j)
+            preds[j].append(i)
+            overlap[i, j] = shared
     return succs, preds, overlap
 
 
@@ -148,7 +141,8 @@ class Timeline:
 
     ``track_of`` maps each occurrence to its track id; occurrences sharing a
     track are one community identity over time.  ``events`` is sorted by
-    frame, then kind.
+    frame, then kind (in :class:`EventKind` order), then successors, then
+    predecessors.
     """
 
     events: list[EvolutionEvent]
@@ -156,7 +150,7 @@ class Timeline:
 
 
 def classify(
-    communities_by_frame: Sequence[Sequence[Collection[str]]],
+    assignments: Iterable[Mapping[str, int]],
     alpha: float = 0.5,
     beta: float = 0.5,
     continue_jaccard: float = 0.5,
@@ -164,13 +158,28 @@ def classify(
     """Classify every transition of a community sequence into events.
 
     Args:
-        communities_by_frame: for each frame, the list of member sets
-            (index in the list is the community id within the frame).
+        assignments: for each frame, each member's community id, as
+            ``Partition.assignment`` gives it: the ids run 0..C-1 and each
+            has a member, else ``ValueError`` names the frame.  Read once,
+            in order.
         alpha, beta: inclusion thresholds of the matcher, each in (0, 1].
         continue_jaccard: an exclusive one-to-one match of unchanged size
             whose Jaccard similarity falls below this is not a Continue;
             the pair is treated as unmatched (the old community ends, the
             new one forms).  It must lie in (0, 1].
+
+    Tracks: a matched successor carries on the track of its best
+    predecessor (most shared members, then smallest id) when it is that
+    predecessor's best successor too; any other matched successor starts a
+    new track.  An unmatched successor resumes a suspended track whose last
+    occurrence passes the inclusion test against it (ReEmerge); pairs are
+    taken by most shared members, then smallest successor id, then latest
+    last frame, then smallest track, each side at most once.  Every other
+    unmatched successor forms a new track.  New track ids count up from 0:
+    in each frame, first for the matched successors that start a track,
+    then for the formed ones, each by id.  A predecessor with no successor
+    suspends its track once the frame's re-emergences are taken, so a
+    track resumes two frames after its last occurrence at the earliest.
 
     Event frame conventions: transition events (Continue/Grow/Shrink/
     Split/Merge) are stamped with the successor frame; Form/ReEmerge with
@@ -180,37 +189,31 @@ def classify(
     ``size_before`` and ``size_after`` are the summed member counts of its
     predecessors and successors, or None when it has none.
 
-    Each occurrence's size, reference and track live in per-frame lists
-    indexed by community id, built as the frame is reached.
+    Across frames only the previous frame's assignment, sizes, references
+    and tracks are kept, plus the last occurrence and members of each
+    suspended track.
     """
     if not 0 < alpha <= 1 or not 0 < beta <= 1:
         raise ValueError(f"alpha and beta must lie in (0, 1], got {alpha}, {beta}")
     if not 0 < continue_jaccard <= 1:
         raise ValueError(f"continue_jaccard must lie in (0, 1], got {continue_jaccard}")
-    frames: list[list[frozenset[str]]] = []
-    sizes: list[list[int]] = []
-    refs: list[list[CommunityRef]] = []
-    tracks: list[list[int]] = []
+    prev: Mapping[str, int] = {}
+    prev_sizes: list[int] = []
+    prev_refs: list[CommunityRef] = []
+    prev_tracks: list[int] = []
     events: list[EvolutionEvent] = []
-    pending: dict[int, CommunityRef] = {}  # track -> occurrence awaiting its fate
+    track_of: dict[CommunityRef, int] = {}
+    # track -> its last occurrence and that occurrence's members
+    pending: dict[int, tuple[CommunityRef, list[str]]] = {}
     waiting: dict[str, set[int]] = {}  # member -> pending tracks holding it
     next_track = 0
 
     # Frame 0 follows an empty frame, so every community of it forms.
-    for u, frame_comms in enumerate(communities_by_frame):
-        t = u - 1
-        nxt, member_to_next = _as_sets(frame_comms, f"frame {u}")
-        frames.append(nxt)
-        sizes.append([len(group) for group in nxt])
-        refs.append([CommunityRef(u, j) for j in range(len(nxt))])
-        tracks.append([-1] * len(nxt))
-        prev = frames[t] if t >= 0 else []
-        prev_sizes, nxt_sizes = sizes[t] if t >= 0 else [], sizes[u]
-        prev_tracks, nxt_tracks = tracks[t], tracks[u]
-        prev_refs, nxt_refs = refs[t], refs[u]
-        succs, preds, overlap = _match(
-            prev, prev_sizes, member_to_next, nxt_sizes, alpha, beta
-        )
+    for u, nxt in enumerate(assignments):
+        nxt_sizes = _sizes(nxt, f"frame {u}")
+        nxt_refs = [CommunityRef(u, j) for j in range(len(nxt_sizes))]
+        nxt_tracks = [-1] * len(nxt_sizes)
+        succs, preds, overlap = _match(prev, prev_sizes, nxt, nxt_sizes, alpha, beta)
 
         # An exclusive one-to-one match of unchanged size that kept too few
         # members is no continuation; drop the match entirely.
@@ -242,9 +245,8 @@ def classify(
 
         # Re-emergence test for unmatched successors against suspended tracks.
         unmatched = [j for j, is_ in enumerate(preds) if not is_]
-        candidates = _reemergence_candidates(
-            frames, u, unmatched, pending, waiting, alpha, beta
-        )
+        groups = _members(nxt, unmatched) if pending else {}
+        candidates = _reemergence_candidates(groups, pending, waiting, alpha, beta)
         resumed: dict[int, int] = {}  # successor j -> track
         used_tracks: set[int] = set()
         for _, j, _, track in sorted(candidates):
@@ -263,12 +265,15 @@ def classify(
                 ))
                 next_track += 1
                 continue
-            old_ref = pending.pop(track)
-            for member in frames[old_ref.frame][old_ref.community]:
-                waiting[member].discard(track)
+            old_ref, old_members = pending.pop(track)
+            for member in old_members:
+                held = waiting[member]
+                held.discard(track)
+                if not held:
+                    del waiting[member]
             nxt_tracks[j] = track
             old = (old_ref,)
-            old_size = sizes[old_ref.frame][old_ref.community]
+            old_size = len(old_members)
             events.append(EvolutionEvent(
                 EventKind.SUSPEND, old_ref.frame, track, old, (), old_size, None
             ))
@@ -301,80 +306,73 @@ def classify(
                 kind, u, nxt_tracks[j], (prev_refs[i],), (nxt_refs[j],), before, size
             ))
         for i, js in enumerate(succs):
-            ref = prev_refs[i]
             if len(js) >= 2:
                 events.append(EvolutionEvent(
                     EventKind.SPLIT, u, prev_tracks[i],
-                    (ref,), tuple(nxt_refs[j] for j in js),
+                    (prev_refs[i],), tuple(nxt_refs[j] for j in js),
                     prev_sizes[i], sum(nxt_sizes[j] for j in js),
                 ))
-            elif not js:
-                track = prev_tracks[i]
-                pending[track] = ref
-                for member in prev[i]:
-                    held = waiting.get(member)
-                    if held is None:
-                        waiting[member] = {track}
-                    else:
-                        held.add(track)
+        ended = _members(prev, [i for i, js in enumerate(succs) if not js])
+        for i, members in ended.items():
+            track = prev_tracks[i]
+            pending[track] = (prev_refs[i], members)
+            for member in members:
+                held = waiting.get(member)
+                if held is None:
+                    waiting[member] = {track}
+                else:
+                    held.add(track)
+
+        track_of.update(zip(nxt_refs, nxt_tracks))
+        prev, prev_sizes, prev_refs, prev_tracks = nxt, nxt_sizes, nxt_refs, nxt_tracks
 
     # Tracks that broke off and never came back dissolved at their last
     # frame.  Only frames before the last suspend, so none is in the last.
-    for track, ref in sorted(pending.items()):
+    for track, (ref, members) in sorted(pending.items()):
         events.append(EvolutionEvent(
-            EventKind.DISSOLVE, ref.frame, track, (ref,), (),
-            sizes[ref.frame][ref.community], None,
+            EventKind.DISSOLVE, ref.frame, track, (ref,), (), len(members), None
         ))
 
     events.sort(
         key=lambda e: (e.frame, _KIND_ORDER[e.kind], e.successors, e.predecessors)
     )
-    track_of = {
-        ref: track
-        for frame_refs, frame_tracks in zip(refs, tracks)
-        for ref, track in zip(frame_refs, frame_tracks)
-    }
     return Timeline(events, track_of)
 
 
 def _reemergence_candidates(
-    frames: Sequence[Sequence[frozenset[str]]],
-    t: int,
-    unmatched: Sequence[int],
-    pending: Mapping[int, CommunityRef],
+    groups: Mapping[int, Collection[str]],
+    pending: Mapping[int, tuple[CommunityRef, Collection[str]]],
     waiting: Mapping[str, Collection[int]],
     alpha: float,
     beta: float,
 ) -> list[tuple[int, int, int, int]]:
-    """Pending tracks that an unmatched community of frame ``t`` may resume.
+    """Pending tracks that an unmatched community may resume.
 
-    A track qualifies when its last occurrence passes the inclusion test
-    against the community.  That occurrence always lies at least two frames
-    back: :func:`classify` suspends frame t-1's unmatched communities only
-    after it has taken frame t's candidates.  Each candidate is
-    ``(-shared, j, -last frame, track)``; their order is left to the caller.
-    Only tracks sharing a member with community j can pass, and ``waiting``
-    (member -> pending tracks holding it) yields exactly those, with the
-    shared member count, without scanning every pending track.
+    ``groups`` maps each unmatched community's id to its members.  A track
+    qualifies when its last occurrence passes the inclusion test against
+    the community.  Each candidate is ``(-shared, j, -last frame, track)``;
+    their order is left to the caller.  Only tracks sharing a member with
+    community j can pass, and ``waiting`` (member -> pending tracks holding
+    it) yields exactly those, with the shared member count, without
+    scanning every pending track.
     """
     candidates = []
-    for j in unmatched:
-        group = frames[t][j]
+    for j, group in groups.items():
         shared_with: dict[int, int] = {}
         for member in group:
             for track in waiting.get(member, ()):
                 shared_with[track] = shared_with.get(track, 0) + 1
         for track, shared in shared_with.items():
-            old_ref = pending[track]
-            old_size = len(frames[old_ref.frame][old_ref.community])
-            if shared / old_size >= alpha or shared / len(group) >= beta:
+            old_ref, old_members = pending[track]
+            if shared / len(old_members) >= alpha or shared / len(group) >= beta:
                 candidates.append((-shared, j, -old_ref.frame, track))
     return candidates
 
 
-def timeline_from_partitions(partitions) -> list[list[frozenset[str]]]:
-    """Adapter: per-frame detection results -> classify() input."""
-    return [part.communities() for part in partitions]
+def timeline_from_partitions(partitions) -> list[dict[str, int]]:
+    """Adapter: per-frame detection results -> classify() input, each
+    partition's own assignment."""
+    return [part.assignment for part in partitions]
 
 
 def event_shares(

@@ -647,8 +647,8 @@ def _analyze_filter(
     them, and the call that gives the metric rows.  The abstract graphs
     are dropped on return.
     """
-    block: dict = {}
-    partitions, events = {}, {}
+    block: dict = {"event_shares": {}}
+    partitions = {}
     for side in _SIDES:
         parts = community.detect_all(_partitions(detected[side]))
         timeline = evolution.classify(
@@ -660,7 +660,10 @@ def _analyze_filter(
         evolution.write_event_csv(
             bundle.path(f"{fdir}/events_{side}.csv"), timeline.events
         )
-        partitions[side], events[side] = parts.partitions, timeline.events
+        # the side's events end here, before the other side is classified
+        block["event_shares"].update(evolution.event_shares({side: timeline.events}))
+        del timeline
+        partitions[side] = parts.partitions
         block[side] = {
             "average_q": parts.average_q,
             "degenerate_frames": parts.degenerate_frames,
@@ -670,7 +673,6 @@ def _analyze_filter(
         for frame, bsn, gsn in zip(fnet.frames, partitions["bsn"], partitions["gsn"])
     ]
     rows = work.submit("frame_rows", agraphs, bundle.path(f"{fdir}/abstract.csv"))
-    block["event_shares"] = evolution.event_shares(events)
     block["tier2"] = {"frames_with_edges": sum(1 for g in agraphs if g.edge_count)}
     return block, rows
 

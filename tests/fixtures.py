@@ -1,15 +1,19 @@
 """Hand-built inputs for the tests: logs, community histories and graphs
-whose expected analysis results are known in advance, and the digest that
-pins a bundle's bytes."""
+whose expected analysis results are known in advance, the digest that
+pins a bundle's bytes, and the two forms of a community timeline (member
+sets, member -> id mappings) with a bundle's timelines read back."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from datetime import timedelta
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from twotier.community import read_partition_csv
+from twotier.evolution import read_event_csv
 from twotier.graph import FrameGraph
 from twotier.ingest import (
     ActivityType,
@@ -133,6 +137,38 @@ def scripted_event_timeline() -> tuple[list[list[frozenset[str]]], list[dict]]:
         event("Continue", 7, [(6, 2)], [(7, 2)]),
     ]
     return frames, expected
+
+
+def as_assignments(frames) -> list[dict[str, int]]:
+    """A community timeline of member sets (``frames[u][j]`` is community j
+    of frame u) as ``classify`` reads it: per frame, each member's
+    community id."""
+    return [{m: c for c, group in enumerate(frame) for m in group} for frame in frames]
+
+
+def member_sets(assignment: Mapping[str, int]) -> list[frozenset[str]]:
+    """The member sets of one frame's assignment, indexed by community id."""
+    groups: list[list[str]] = [[] for _ in range(len(set(assignment.values())))]
+    for member, c in assignment.items():
+        groups[c].append(member)
+    return [frozenset(g) for g in groups]
+
+
+def bundle_timelines(root):
+    """Each (X, filter, side) timeline of a bundle: its ``x*/filter/side``
+    label, its assignment per frame from the partition file (empty for a
+    frame without rows, up to ``summary.json``'s frame count) and the
+    events file's events."""
+    root = Path(root)
+    frames = json.loads((root / "summary.json").read_text())["network"]["frames"]
+    for path in sorted(root.glob("x*/*/partitions_*.csv")):
+        side = path.stem.split("_", 1)[1]
+        by_frame = read_partition_csv(path)
+        yield (
+            f"{path.parent.relative_to(root).as_posix()}/{side}",
+            [by_frame.get(t, {}) for t in range(frames)],
+            read_event_csv(path.with_name(f"events_{side}.csv")),
+        )
 
 
 def adjacency_graph(frame_index: int, adj: Mapping[str, Mapping[str, int]]) -> FrameGraph:

@@ -12,6 +12,7 @@ from collections import deque
 import numpy as np
 
 from twotier import community
+from twotier.evolution import CommunityRef, EventKind, EvolutionEvent, Timeline
 
 
 def naive_weighted_degree(degree: int, weight_sum: int) -> int:
@@ -272,21 +273,98 @@ def full_sweep_move_nodes(adj, k, com, order, m2, isolate) -> bool:
     return moved_any
 
 
-def pairwise_reemergence_candidates(
-    frames, t, unmatched, pending, waiting, alpha, beta
-) -> list:
-    """``evolution._reemergence_candidates`` by testing every pending track
-    against every unmatched community (``waiting`` is ignored)."""
-    candidates = []
-    for track, old_ref in sorted(pending.items()):
-        if t - old_ref.frame < 2:
-            continue
-        old_members = frames[old_ref.frame][old_ref.community]
-        for j in unmatched:
-            shared = len(old_members & frames[t][j])
-            if shared == 0:
+def reference_classify(frames, alpha=0.5, beta=0.5, continue_jaccard=0.5):
+    """``evolution.classify`` on member sets, by the rules its docstrings
+    state: every frame kept, overlaps counted pair by pair with ``&``, and
+    no member index.  ``frames[u][j]`` is community j of frame u; the
+    result is a :class:`Timeline`.
+    """
+    frames = [[frozenset(c) for c in frame] for frame in frames]
+    events, track_of = [], {}
+    last = {}  # pending track -> the ref of its last occurrence
+    next_track = 0
+
+    def members(ref):
+        return frames[ref.frame][ref.community]
+
+    def include(a, b):
+        shared = len(a & b)
+        return shared / len(a) >= alpha or shared / len(b) >= beta
+
+    def event(kind, frame, track, preds, succs):
+        return EvolutionEvent(
+            kind, frame, track, tuple(preds), tuple(succs),
+            sum(len(members(r)) for r in preds) if preds else None,
+            sum(len(members(r)) for r in succs) if succs else None,
+        )
+
+    for u, comms in enumerate(frames):
+        prev = frames[u - 1] if u else []
+        p_ref = [CommunityRef(u - 1, i) for i in range(len(prev))]
+        n_ref = [CommunityRef(u, j) for j in range(len(comms))]
+        pairs = {(i, j) for i, p in enumerate(prev) for j, n in enumerate(comms)
+                 if include(p, n)}
+        # an exclusive pair of equal sizes below the Jaccard bar is unmatched
+        for i, j in sorted(pairs):
+            exclusive = [q for q in pairs if q[0] == i or q[1] == j] == [(i, j)]
+            p, n = prev[i], comms[j]
+            if (exclusive and len(p) == len(n)
+                    and len(p & n) / len(p | n) < continue_jaccard):
+                pairs.discard((i, j))
+        succ = [sorted(j for a, j in pairs if a == i) for i in range(len(prev))]
+        pred = [sorted(i for i, b in pairs if b == j) for j in range(len(comms))]
+
+        def best(options, overlap):
+            return min(options, key=lambda k: (-overlap(k), k))
+
+        track = {}
+        for j in range(len(comms)):
+            if not pred[j]:
                 continue
-            if (shared / len(old_members) >= alpha
-                    or shared / len(frames[t][j]) >= beta):
-                candidates.append((-shared, j, -old_ref.frame, track))
-    return candidates
+            i = best(pred[j], lambda i: len(prev[i] & comms[j]))
+            if best(succ[i], lambda k: len(prev[i] & comms[k])) == j:
+                track[j] = track_of[p_ref[i]]
+            else:
+                track[j] = next_track
+                next_track += 1
+        unmatched = [j for j in range(len(comms)) if not pred[j]]
+        candidates = sorted(
+            (-len(members(ref) & comms[j]), j, -ref.frame, t)
+            for t, ref in last.items() for j in unmatched
+            if include(members(ref), comms[j])
+        )
+        resumed = {}
+        for _, j, _, t in candidates:
+            if j not in resumed and t not in resumed.values():
+                resumed[j] = t
+        for j in unmatched:
+            if j in resumed:
+                track[j] = resumed[j]
+                old = last.pop(track[j])
+                events.append(event(EventKind.SUSPEND, old.frame, track[j], [old], []))
+                events.append(event(EventKind.REEMERGE, u, track[j], [old], [n_ref[j]]))
+            else:
+                track[j] = next_track
+                next_track += 1
+                events.append(event(EventKind.FORM, u, track[j], [], [n_ref[j]]))
+        for j in range(len(comms)):
+            ps = [p_ref[i] for i in pred[j]]
+            if len(ps) >= 2:
+                events.append(event(EventKind.MERGE, u, track[j], ps, [n_ref[j]]))
+            elif len(ps) == 1 and len(succ[pred[j][0]]) == 1:
+                before, after = len(prev[pred[j][0]]), len(comms[j])
+                kind = (EventKind.GROW if after > before else EventKind.SHRINK
+                        if after < before else EventKind.CONTINUE)
+                events.append(event(kind, u, track[j], ps, [n_ref[j]]))
+        for i in range(len(prev)):
+            if len(succ[i]) >= 2:
+                events.append(event(EventKind.SPLIT, u, track_of[p_ref[i]], [p_ref[i]],
+                                    [n_ref[j] for j in succ[i]]))
+            elif not succ[i]:
+                last[track_of[p_ref[i]]] = p_ref[i]
+        track_of.update((n_ref[j], track[j]) for j in range(len(comms)))
+    for t, ref in sorted(last.items()):
+        events.append(event(EventKind.DISSOLVE, ref.frame, t, [ref], []))
+    order = list(EventKind)
+    events.sort(key=lambda e: (e.frame, order.index(e.kind), e.successors, e.predecessors))
+    return Timeline(events, track_of)

@@ -30,6 +30,7 @@ from twotier.report import PipelineConfig, run_pipeline
 from .fixtures import (
     abstract_graph,
     adjacency_graph,
+    as_assignments,
     bundle_digest,
     intermittent_activity_records,
     intermittent_spec,
@@ -200,7 +201,7 @@ def test_05_modularity_suite():
 
 def test_06_evolution_event_catalogue():
     frames, expected = scripted_event_timeline()
-    timeline = classify(frames)
+    timeline = classify(as_assignments(frames))
 
     def key(kind, frame, preds, succs):
         return (kind, frame, tuple(preds), tuple(succs))

@@ -3,6 +3,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotier import evolution
 from twotier.community import detect
@@ -16,9 +18,16 @@ from twotier.evolution import (
     timeline_from_partitions,
     write_event_csv,
 )
+from twotier.report import PipelineConfig, run_pipeline
 
-from .fixtures import adjacency_graph, scripted_event_timeline
-from .oracles import pairwise_reemergence_candidates, random_weighted_adj
+from .fixtures import (
+    adjacency_graph,
+    as_assignments,
+    bundle_timelines,
+    member_sets,
+    scripted_event_timeline,
+)
+from .oracles import random_weighted_adj, reference_classify
 
 F = frozenset
 
@@ -46,22 +55,24 @@ def test_match_inclusion_thresholds():
     prev = [F({"a", "b", "c", "d"})]
     nxt = [F({"a", "b", "x", "y", "z", "w"})]
     # forward inclusion 2/4 = 0.5 passes alpha: the pair matches and grows
-    tl = classify([prev, nxt], alpha=0.5, beta=0.5)
+    tl = classify(as_assignments([prev, nxt]), alpha=0.5, beta=0.5)
     assert len(_events_of(tl, EventKind.GROW)) == 1
     # raise alpha; backward inclusion 2/6 < beta, so no match
-    tl = classify([prev, nxt], alpha=0.75, beta=0.5)
+    tl = classify(as_assignments([prev, nxt]), alpha=0.75, beta=0.5)
     assert not _events_of(tl, EventKind.GROW)
     # backward route: successor mostly contained in predecessor
-    tl = classify([[F({"a", "b", "c", "d"})], [F({"a", "b", "c"})]], alpha=0.9, beta=0.7)
+    tl = classify(as_assignments([[F({"a", "b", "c", "d"})], [F({"a", "b", "c"})]]),
+                  alpha=0.9, beta=0.7)
     assert len(_events_of(tl, EventKind.SHRINK)) == 1
 
 
 def test_match_rejects_bad_input():
-    with pytest.raises(ValueError):
-        classify([[F()], [F({"a"})]])
-    with pytest.raises(ValueError):
-        classify([[F({"a"}), F({"a", "b"})], [F({"c"})]])  # overlapping communities
-    same = [[F({"a", "b"})], [F({"a", "b"})]]
+    # community 0 of frame 1 has no member
+    with pytest.raises(ValueError, match="frame 1: community 0 is empty"):
+        classify([{"a": 0}, {"a": 1}])
+    with pytest.raises(ValueError, match="frame 0: community 1 is empty"):
+        classify([{"a": 0, "b": 2}])
+    same = as_assignments([[F({"a", "b"})], [F({"a", "b"})]])
     for bad in (0, -0.5, 1.5, 2, float("nan")):
         with pytest.raises(ValueError, match="continue_jaccard must lie in"):
             classify(same, continue_jaccard=bad)
@@ -69,7 +80,7 @@ def test_match_rejects_bad_input():
 
 
 def test_classify_first_frame_is_all_form():
-    tl = classify([[F({"a", "b"}), F({"c", "d"})]])
+    tl = classify(as_assignments([[F({"a", "b"}), F({"c", "d"})]]))
     kinds = [e.kind for e in tl.events]
     assert kinds == [EventKind.FORM, EventKind.FORM]
     # final-frame communities get no exit event
@@ -77,12 +88,12 @@ def test_classify_first_frame_is_all_form():
 
 
 def test_classify_continue_grow_shrink():
-    tl = classify([
+    tl = classify(as_assignments([
         [F({"a", "b", "c"})],
         [F({"a", "b", "c"})],
         [F({"a", "b", "c", "d", "e"})],
         [F({"a", "b"})],
-    ])
+    ]))
     assert len(_events_of(tl, EventKind.CONTINUE)) == 1
     grow = _events_of(tl, EventKind.GROW)
     assert len(grow) == 1 and grow[0].frame == 2
@@ -92,11 +103,11 @@ def test_classify_continue_grow_shrink():
 
 
 def test_classify_split_and_merge():
-    tl = classify([
+    tl = classify(as_assignments([
         [F({"a", "b", "c", "d"})],
         [F({"a", "b"}), F({"c", "d"})],
         [F({"a", "b", "c", "d"})],
-    ])
+    ]))
     split = _events_of(tl, EventKind.SPLIT)
     assert len(split) == 1
     assert split[0].frame == 1
@@ -110,22 +121,22 @@ def test_classify_split_and_merge():
 def test_equal_size_low_overlap_pair_is_demoted():
     # half the members swap out; inclusion passes at 0.5 but the pair is
     # no stronger than a coincidence, so it must not read as Continue
-    tl = classify([
+    tl = classify(as_assignments([
         [F({"a", "b", "c", "d"})],
         [F({"a", "b", "x", "y"})],
-    ], continue_jaccard=0.5)
+    ]), continue_jaccard=0.5)
     assert not _events_of(tl, EventKind.CONTINUE)
     forms = _events_of(tl, EventKind.FORM)
     assert any(e.frame == 1 for e in forms)
 
 
 def test_suspend_and_reemerge_bridge_a_gap():
-    tl = classify([
+    tl = classify(as_assignments([
         [F({"a", "b", "c"}), F({"k", "l", "m"})],
         [F({"k", "l", "m"})],
         [F({"k", "l", "m"})],
         [F({"a", "b", "c"}), F({"k", "l", "m"})],
-    ])
+    ]))
     sus = _events_of(tl, EventKind.SUSPEND)
     assert len(sus) == 1
     assert sus[0].frame == 0  # recorded at the last frame of presence
@@ -136,16 +147,11 @@ def test_suspend_and_reemerge_bridge_a_gap():
     assert ree[0].track_id == sus[0].track_id
 
 
-def test_classify_equals_pairwise_reemergence_scan(monkeypatch):
-    """The member index finds the candidates the full scan finds, so events
-    and tracks are equal on logs where many tracks suspend and re-emerge."""
-    indexed = evolution._reemergence_candidates
-
-    def checked(*args):
-        got = indexed(*args)
-        assert sorted(got) == sorted(pairwise_reemergence_candidates(*args))
-        return got
-
+def test_classify_equals_pairwise_reemergence_scan():
+    """The member index finds the re-emergences that the reference finds by
+    testing every pending track against every unmatched community, so
+    events and tracks are equal on Louvain timelines of random graphs,
+    where many tracks suspend and re-emerge."""
     rng = random.Random(96)
     reemerged = 0
     for _ in range(30):
@@ -153,16 +159,10 @@ def test_classify_equals_pairwise_reemergence_scan(monkeypatch):
         for t in range(rng.randint(2, 30)):
             edges = rng.choice((10, 30, 60))
             adj = random_weighted_adj(rng, max_nodes=25, max_edges=edges)
-            frames.append(detect(adjacency_graph(t, adj), seed=t).communities())
+            frames.append(detect(adjacency_graph(t, adj), seed=t).assignment)
         alpha, beta = rng.choice(((0.5, 0.5), (0.3, 0.8), (1.0, 1.0)))
-        with monkeypatch.context() as patched:
-            patched.setattr(evolution, "_reemergence_candidates", checked)
-            fast = classify(frames, alpha, beta)
-        with monkeypatch.context() as patched:
-            patched.setattr(
-                evolution, "_reemergence_candidates", pairwise_reemergence_candidates
-            )
-            slow = classify(frames, alpha, beta)
+        fast = classify(frames, alpha, beta)
+        slow = reference_classify([member_sets(a) for a in frames], alpha, beta)
         assert fast.events == slow.events
         assert fast.track_of == slow.track_of
         # a track resumes no sooner than two frames after it was last seen
@@ -172,11 +172,65 @@ def test_classify_equals_pairwise_reemergence_scan(monkeypatch):
     assert reemerged >= 100
 
 
+@st.composite
+def _set_timelines(draw):
+    """Up to 8 frames over 6 members, each member absent or in one of 3
+    communities, numbered in a drawn order: ties, equal sizes, gaps and
+    empty frames are common, and so are overlap fractions of 1/3, 1/2,
+    2/3 and 1, the drawn thresholds."""
+    frames = []
+    for _ in range(draw(st.integers(0, 8))):
+        labels = draw(st.lists(st.sampled_from((None, 0, 1, 2)), min_size=6, max_size=6))
+        groups: dict = {}
+        for member, label in zip("abcdef", labels):
+            if label is not None:
+                groups.setdefault(label, set()).add(member)
+        order = draw(st.permutations(sorted(groups)))
+        frames.append([F(groups[label]) for label in order])
+    return frames
+
+
+_THRESHOLDS = st.sampled_from((1 / 3, 0.5, 2 / 3, 1.0))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_set_timelines(), _THRESHOLDS, _THRESHOLDS, _THRESHOLDS)
+def test_classify_equals_reference_on_random_timelines(frames, alpha, beta, jaccard):
+    got = classify(as_assignments(frames), alpha, beta, jaccard)
+    want = reference_classify(frames, alpha, beta, jaccard)
+    assert got.events == want.events
+    assert got.track_of == want.track_of
+
+
+def test_classify_equals_reference_on_the_small_preset(tmp_path):
+    """The 18 timelines of the ``small`` preset's bundle, read back from its
+    partition files, give the events written next to them, and the
+    reference gives the same events and tracks."""
+    run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
+    labels = []
+    for label, assignments, written in bundle_timelines(tmp_path):
+        got = classify(assignments)
+        want = reference_classify([member_sets(a) for a in assignments])
+        assert got.events == want.events == written, label
+        assert got.track_of == want.track_of, label
+        labels.append(label)
+    assert len(labels) == 18
+
+
+def test_classify_reads_its_frames_once():
+    """A one-shot generator gives the timeline the list gives."""
+    frames = as_assignments(scripted_event_timeline()[0])
+    once = classify(frame for frame in frames)
+    listed = classify(frames)
+    assert once.events == listed.events
+    assert once.track_of == listed.track_of
+
+
 def test_pending_tracks_dissolve_at_end():
-    tl = classify([
+    tl = classify(as_assignments([
         [F({"a", "b", "c"})],
         [F({"x", "y", "z"})],
-    ])
+    ]))
     dis = _events_of(tl, EventKind.DISSOLVE)
     assert len(dis) == 1
     assert dis[0].frame == 0
@@ -187,7 +241,7 @@ def test_pending_tracks_dissolve_at_end():
 
 def test_scripted_timeline_reproduced_exactly():
     frames, expected = scripted_event_timeline()
-    tl = classify(frames)
+    tl = classify(as_assignments(frames))
     got = {
         (e.kind.value, e.frame,
          tuple((r.frame, r.community) for r in e.predecessors),
@@ -202,21 +256,21 @@ def test_scripted_timeline_reproduced_exactly():
 
 
 def test_tracks_thread_through_continues():
-    tl = classify([
+    tl = classify(as_assignments([
         [F({"a", "b", "c"})],
         [F({"a", "b", "c"})],
         [F({"a", "b", "c", "d"})],
-    ])
+    ]))
     refs = [CommunityRef(t, 0) for t in range(3)]
     tracks = {tl.track_of[r] for r in refs}
     assert len(tracks) == 1
 
 
 def test_event_shares_percentages():
-    tl = classify([
+    tl = classify(as_assignments([
         [F({"a", "b"}), F({"c", "d"})],
         [F({"a", "b"}), F({"c", "d"})],
-    ])
+    ]))
     rows = event_shares({"bsn": tl.events})
     assert list(rows) == ["bsn"]
     row = rows["bsn"]
@@ -230,7 +284,7 @@ def test_event_shares_percentages():
 
 def test_event_csv_round_trip(tmp_path):
     frames, _ = scripted_event_timeline()
-    tl = classify(frames)
+    tl = classify(as_assignments(frames))
     path = tmp_path / "events.csv"
     write_event_csv(path, tl.events)
     back = read_event_csv(path)
@@ -248,7 +302,7 @@ def test_event_csv_writes_one_csv_writer_row_per_event(tmp_path):
     merges and splits with several communities on one side, and absent
     sizes."""
     frames, _ = scripted_event_timeline()
-    events = classify(frames).events
+    events = classify(as_assignments(frames)).events
     assert {e.kind for e in events} == set(EventKind)
     assert any(len(e.successors) > 1 for e in events)
     assert any(len(e.predecessors) > 1 for e in events)
@@ -276,5 +330,5 @@ def test_timeline_from_partitions_orders_by_frame():
     f1 = FrameGraph.from_edges(1, [("a", "b", 1)])
     parts = detect_all(detect(f, frame_seed(2, f.frame_index)) for f in [f0, f1]).partitions
     frames = timeline_from_partitions(parts)
-    assert len(frames) == 2
-    assert F({"a", "b"}) in frames[0]
+    assert frames == [p.assignment for p in parts]
+    assert frames[0]["a"] == frames[0]["b"] != frames[0]["c"]

@@ -18,6 +18,7 @@ from twotier.synth import (
 from .fixtures import (
     intermittent_activity_records,
     intermittent_spec,
+    member_sets,
     planted_partition,
     scripted_event_timeline,
 )
@@ -139,7 +140,7 @@ def test_planted_partition_shape_and_recovery():
     blocks = {}
     for node in g.nodes:
         blocks.setdefault(node[1], set()).add(node)
-    found = {frozenset(c) for c in part.communities()}
+    found = set(member_sets(part.assignment))
     assert {frozenset(b) for b in blocks.values()} == found
     with pytest.raises(ValueError):
         planted_partition(2, 5, 0.2, 0.5)

@@ -326,6 +326,46 @@ def test_tier_two_runs_without_team_records_or_aggregate(tmp_path, monkeypatch, 
     assert held == set()
 
 
+@pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=needs_fork)])
+def test_tier_two_holds_one_side_of_events_at_a_time(tmp_path, monkeypatch, pooled):
+    """At the start of each (X, filter) block and of each side's
+    ``classify``, this process holds no evolution event or timeline: each
+    side's events are dropped once written and summed up.  Nor does it
+    hold a community timeline of member sets: ``classify`` reads the
+    partitions' own assignments."""
+    chosen = _force_pool(monkeypatch) if pooled else []
+    analyze, classify = report._analyze_filter, evolution.classify
+    met: set = set()  # the members of the blocks begun so far
+    held, scans = set(), []
+
+    def scan(where):
+        scans.append(where)
+        gc.collect()
+        held.update(
+            type(o).__name__ for o in gc.get_objects()
+            if isinstance(o, (evolution.EvolutionEvent, evolution.Timeline))
+            or isinstance(o, list) and o and isinstance(o[0], frozenset)
+            and o[0] and o[0] <= met
+        )
+
+    def scanned_analyze(fnet, *args):
+        met.update(fnet.members)
+        scan("block")
+        return analyze(fnet, *args)
+
+    def scanned_classify(*args, **kwargs):
+        scan("classify")
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(report, "_analyze_filter", scanned_analyze)
+    monkeypatch.setattr(evolution, "classify", scanned_classify)
+    run_pipeline(PipelineConfig(preset="small", x_values=(10,), curve_x=(10,),
+                                out_dir=str(tmp_path)))
+    assert chosen == ([2] if pooled else [])
+    assert scans == ["block", "classify", "classify"] * 3  # filters, then sides
+    assert held == set()
+
+
 def _small_log(tmp_path):
     """The ``small`` preset's records, as a CSV log; the path and the records."""
     records, _truth = synth.generate(synth.small_preset(42))
