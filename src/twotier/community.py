@@ -86,6 +86,19 @@ class Partition:
     q: float
     degenerate: bool = False
 
+    @classmethod
+    def from_labels(
+        cls,
+        frame_index: int,
+        nodes: Iterable[str],
+        labels: Iterable[int],
+        q: float,
+        degenerate: bool,
+    ) -> "Partition":
+        """The partition that gives ``nodes[i]`` community ``labels[i]``, as
+        :func:`detect_local` returns them; ``assignment`` keeps that order."""
+        return cls(frame_index, dict(zip(nodes, labels, strict=True)), q, degenerate)
+
     @property
     def community_count(self) -> int:
         return max(self.assignment.values(), default=-1) + 1
@@ -255,10 +268,11 @@ def detect_local(
 
 def detect(graph: FrameGraph, seed: int = 42) -> Partition:
     """Detect communities in one frame graph with :func:`detect_local`."""
-    labels, q, degenerate = detect_local(
-        graph.rows, graph.strengths, graph.total_weight, seed
+    return Partition.from_labels(
+        graph.frame_index,
+        graph.nodes,
+        *detect_local(graph.rows, graph.strengths, graph.total_weight, seed),
     )
-    return Partition(graph.frame_index, dict(zip(graph.nodes, labels)), q, degenerate)
 
 
 def frame_seed(seed: int, frame_index: int) -> int:

@@ -13,7 +13,9 @@ community detections and frame metrics, and the network, partition and
 abstract files run on forked worker processes, and the runs stay
 bit-reproducible: each detection's seed depends only on the configured
 seed, the side of the split and the frame index, and the results are read
-back by (X, filter, side).
+back by (X, filter, side).  A detection hands back community labels in its
+restriction's node order, which ``FrameGraph.kept`` gives, so the main
+process puts them to its own node names.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import csv
 import io
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 #: Frame index used for the all-frames aggregate graph.
 AGGREGATE_FRAME = -1
@@ -146,6 +148,12 @@ class FrameGraph:
                 if i < j:
                     yield nodes[i], nodes[j], w
 
+    def kept(self, keep: AbstractSet[str]) -> list[int]:
+        """The local ids of the nodes in ``keep``, ascending: their order in
+        ``restrict(keep)``, whose node ``k`` is node ``kept(keep)[k]`` here."""
+        nodes = self.nodes
+        return list(compress(range(len(nodes)), map(keep.__contains__, nodes)))
+
     def restrict(self, keep: Iterable[str]) -> "FrameGraph":
         """Induced subgraph on ``keep`` (unknown ids are ignored).
 
@@ -156,8 +164,7 @@ class FrameGraph:
         graph keeps it so, in the same order, and renumbering the kept local
         ids in order keeps the rows' keys ascending.
         """
-        keep = frozenset(keep)  # no copy when ``keep`` is a frozenset
-        kept = [i for i, node in enumerate(self.nodes) if node in keep]
+        kept = self.kept(frozenset(keep))  # no copy when ``keep`` is a frozenset
         local = {i: k for k, i in enumerate(kept)}
         rows = self.rows
         return FrameGraph(

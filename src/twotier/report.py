@@ -13,6 +13,7 @@ import json
 import os
 import threading
 import time
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -317,7 +318,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 fdir = _block_dir(x, name)
                 # popped, so a block's results are freed once it is analysed
                 detected = {side: detections.pop((x, name, side)) for side in _SIDES}
-                block, rows = _analyze_filter(fnet, detected, work, config, bundle, fdir)
+                block, rows = _analyze_filter(
+                    fnet, split, detected, work, config, bundle, fdir
+                )
                 x_block["filters"][name] = block
                 pending.append(((x, name), block, rows, fdir))
             result.splits[x], result.profiles[x] = split, profiles
@@ -426,6 +429,14 @@ def _profile_backbone(split, member_stats, bundle: _Bundle, xdir: str):
 #: ``BackboneSplit`` and the offset of its detection seed from the run's.
 _SIDES = {"bsn": ("backbone", 0), "gsn": ("general", 500009)}
 
+#: The ``array`` type code of the community labels a detection hands back.
+_LABEL = "i"
+
+
+def _side_members(split: kshell.BackboneSplit, side: str) -> frozenset[str]:
+    return getattr(split, _SIDES[side][0])
+
+
 #: Fewest edges, summed over the full network's frames, for which the steps
 #: after the backbone split run on worker processes.  Median wall time of
 #: 12 alternating runs per input on a shared 2-vCPU host, in-process vs a
@@ -465,9 +476,9 @@ class _Work:
 
     A worker inherits this object at fork, so only step names and each
     item's arguments cross to a worker, and only results come back: a
-    detection's partitions, a kernel's values, a block's metric rows.  The
-    arguments (block keys, abstract graphs, bundle paths) cross as one
-    pickled ``bytes`` payload, made at submission, so an item that waits
+    detection's community labels (no member name: see :meth:`detect`), a
+    kernel's values, a block's metric rows.  The arguments (block keys,
+    abstract graphs, bundle paths) cross as one pickled ``bytes`` payload, made at submission, so an item that waits
     for a worker holds no graph objects in this process.  Every step gives
     the same result in any process: a detection's seed depends only on the
     run's seed, the side and the frame index.
@@ -495,9 +506,9 @@ class _Work:
         return self.pool.submit(_in_worker, step, pickle.dumps(args)).result
 
     def detections(self, bundle: _Bundle) -> dict:
-        """A call per (X, filter, side) that gives that block's partitions,
-        once it has written them to the block's partition file in
-        ``bundle``.
+        """A call per (X, filter, side) that gives what :meth:`detect`
+        returns for that block, once it has written the block's partition
+        file in ``bundle``; :func:`_partitions` turns it into partitions.
 
         On the pool, the blocks are submitted here, in key order.  Without
         a pool, a block runs when its call is made, so that its work falls
@@ -520,21 +531,25 @@ class _Work:
         self.agg = None
         return calls
 
-    def detect(self, x, name: str, side: str, path) -> list[community.Partition]:
+    def detect(self, x, name: str, side: str, path) -> list[tuple[bytes, float, bool]]:
         """Detect the communities of each frame of filter ``name``,
         restricted to one side's members, with the frame's seed; write the
-        partitions to ``path`` and return them."""
-        field_name, offset = _SIDES[side]
-        members = getattr(self.splits[x], field_name)
+        partitions to ``path``.  Returns each frame's labels (packed as
+        ``_LABEL`` ints in the restriction's node order), Q and degenerate
+        flag, so no member name crosses back from a worker."""
+        members = _side_members(self.splits[x], side)
+        seed = self.seed + _SIDES[side][1]
         partitions = [
             community.detect(
-                frame.restrict(members),
-                community.frame_seed(self.seed + offset, frame.frame_index),
+                frame.restrict(members), community.frame_seed(seed, frame.frame_index)
             )
             for frame in self.networks[name].frames
         ]
         community.write_partition_csv(path, partitions)
-        return partitions
+        return [
+            (array(_LABEL, p.assignment.values()).tobytes(), p.q, p.degenerate)
+            for p in partitions
+        ]
 
     def write_edges(self, name: str, path) -> None:
         """Write filter ``name``'s frame edges to ``path``."""
@@ -627,20 +642,26 @@ def _worker_pool(work: _Work) -> Iterator[_Work]:
         work.pool.shutdown(cancel_futures=True)
 
 
-def _partitions(detect):
-    """The partitions that ``detect()`` gives, called only once the first
-    one is asked for: without a pool, the detections then run inside the
-    ``community.detect_all`` that reads them."""
-    yield from detect()
+def _partitions(detect, fnet: DynamicNetwork, members: frozenset[str]):
+    """The partitions of ``fnet``'s frames restricted to ``members``, from
+    the labels, Q and flags that ``detect()`` gives (:meth:`_Work.detect`),
+    over the frames' own node names.  ``detect()`` is called only once the
+    first partition is asked for: without a pool, the detections then run
+    inside the ``community.detect_all`` that reads them."""
+    for frame, (labels, q, degenerate) in zip(fnet.frames, detect(), strict=True):
+        names = map(frame.nodes.__getitem__, frame.kept(members))
+        labels = memoryview(labels).cast(_LABEL)
+        yield community.Partition.from_labels(frame.frame_index, names, labels, q, degenerate)
 
 
 def _analyze_filter(
-    fnet, detected, work: _Work, config: PipelineConfig, bundle: _Bundle, fdir: str
+    fnet, split, detected, work: _Work, config: PipelineConfig, bundle: _Bundle,
+    fdir: str,
 ):
-    """Tier two for one (X, filter) pair: communities of each side, the
-    partitions that the call ``detected[side]`` gives, their evolution,
-    the community-level abstraction and, submitted to ``work``, its file
-    and frame metrics.
+    """Tier two for one (X, filter) pair: communities of each side of
+    ``split``, rebuilt from what the call ``detected[side]`` gives, their
+    evolution, the community-level abstraction and, submitted to ``work``,
+    its file and frame metrics.
 
     Returns the pair's summary block, whose ``tier2`` entry lacks the
     metric means and edge weight totals until :func:`_write_metrics` adds
@@ -650,7 +671,8 @@ def _analyze_filter(
     block: dict = {"event_shares": {}}
     partitions = {}
     for side in _SIDES:
-        parts = community.detect_all(_partitions(detected[side]))
+        members = _side_members(split, side)
+        parts = community.detect_all(_partitions(detected[side], fnet, members))
         timeline = evolution.classify(
             evolution.timeline_from_partitions(parts.partitions),
             alpha=config.alpha,

@@ -7,15 +7,20 @@ import gc
 import json
 import multiprocessing
 import os
+import pickle
+import pickletools
 import random
 import sys
 import threading
 import warnings
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from twotier import abstraction, cli, community, evolution, report, synth
-from twotier.graph import AGGREGATE_FRAME, FrameGraph
+from twotier import abstraction, cli, community, evolution, kshell, report, synth
+from twotier.graph import AGGREGATE_FRAME, DynamicNetwork, FrameGraph
 from twotier.ingest import TeamRecord
 from twotier.report import PipelineConfig, pool_workers, run_pipeline
 
@@ -403,3 +408,126 @@ def test_fixed_duration_window_runs_pooled_as_in_process(tmp_path, monkeypatch):
     assert spec["window"] == "2592000s"
     assert spec["frame_count"] > 1
     assert _files(pooled) == _files(here)
+
+
+@pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=needs_fork)])
+def test_detections_hand_back_labels_and_tier_two_reads_its_own_names(
+    tmp_path, monkeypatch, pooled
+):
+    """A detection item's result holds no string, so no member name is
+    copied back from a worker: every key of every assignment that
+    ``classify`` and ``abstract`` read is the frame's own node string."""
+    chosen = _force_pool(monkeypatch) if pooled else []
+    analyze, detections = report._analyze_filter, report._Work.detections
+    classify, abstract = evolution.classify, abstraction.abstract
+    frames = []  # the frames of the block being analysed
+    handed, copies = [], []
+
+    def own(where, frame, assignment):
+        nodes = set(map(id, frame.nodes))
+        copies.extend((where, frame.frame_index, m) for m in assignment if id(m) not in nodes)
+
+    def recorded(call):
+        def read():
+            value = call()
+            handed.append(pickle.dumps(value))
+            return value
+
+        return read
+
+    def recording(self, bundle):
+        return {key: recorded(call) for key, call in detections(self, bundle).items()}
+
+    def scanned_analyze(fnet, *args):
+        frames[:] = fnet.frames
+        return analyze(fnet, *args)
+
+    def scanned_classify(timeline, **kwargs):
+        for frame, assignment in zip(frames, timeline, strict=True):
+            own("classify", frame, assignment)
+        return classify(timeline, **kwargs)
+
+    def scanned_abstract(frame, bsn_map, gsn_map):
+        own("abstract", frame, bsn_map)
+        own("abstract", frame, gsn_map)
+        return abstract(frame, bsn_map, gsn_map)
+
+    monkeypatch.setattr(report._Work, "detections", recording)
+    monkeypatch.setattr(report, "_analyze_filter", scanned_analyze)
+    monkeypatch.setattr(evolution, "classify", scanned_classify)
+    monkeypatch.setattr(abstraction, "abstract", scanned_abstract)
+    result = run_pipeline(PipelineConfig(preset="small", x_values=(10,), curve_x=(10,),
+                                         out_dir=str(tmp_path)))
+    assert chosen == ([2] if pooled else [])
+    assert result.network.frame_count > 1
+    assert copies == []
+    assert len(handed) == 3 * 2  # filters times sides
+    strings = [arg for data in handed for _op, arg, _pos in pickletools.genops(data)
+               if isinstance(arg, str)]
+    assert strings == []
+
+
+_NAMES = [f"m{i}" for i in range(7)]
+_STRANGERS = ["s0", "s1"]  # in a side, but in no frame
+
+
+@st.composite
+def _frames_and_sides(draw):
+    """A few frames over ``_NAMES`` (possibly empty or edgeless), a seed, and
+    each side's members, which may miss every node and hold strangers."""
+    frames = []
+    for t in range(draw(st.integers(1, 4))):
+        # frame 0 has a node, since the split needs a member to rank
+        nodes = sorted(draw(st.sets(st.sampled_from(_NAMES), min_size=int(t == 0))))
+        pairs = list(combinations(nodes, 2))
+        edges = draw(st.lists(
+            st.tuples(st.sampled_from(pairs), st.integers(1, 3)), max_size=12
+        )) if pairs else []
+        frames.append(FrameGraph.from_edges(t, [(u, v, w) for (u, v), w in edges], nodes))
+    side = st.frozensets(st.sampled_from(_NAMES + _STRANGERS))
+    return frames, draw(st.integers(0, 2**32)), draw(side), draw(side)
+
+
+_TRIANGLES = FrameGraph.from_edges(0, [
+    ("m0", "m1", 2), ("m1", "m2", 1), ("m0", "m2", 1), ("m3", "m4", 1), ("m4", "m5", 3),
+    ("m3", "m5", 1), ("m2", "m3", 1),
+])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_frames_and_sides())
+@example(  # edgeless frames: isolated nodes, then no node at all
+    ([FrameGraph.from_edges(0, [], ["m0", "m1"]), FrameGraph.from_edges(1, [])], 7,
+     frozenset({"m0", "m1"}), frozenset({"m1"})))
+@example(  # the backbone has no member in frame 1, the rest none in frame 0
+    ([_TRIANGLES, FrameGraph.from_edges(1, [("m6", "m7", 1)])], 42,
+     frozenset({"m0", "m1", "m2", "m3"}), frozenset({"m6", "m7"})))
+@example(  # strangers on both sides
+    ([_TRIANGLES, FrameGraph.from_edges(1, [("m0", "m1", 2), ("m1", "m2", 1)])], 3,
+     frozenset({"m0", "m1", "m2", "s0"}), frozenset({"m3", "m4", "m5", "s0", "s1"})))
+def test_handed_back_labels_rebuild_the_detected_partitions(case):
+    """A detection item's result, pickled and read back, rebuilt over the
+    frames' own names, is the partition ``community.detect`` finds on the
+    frame restricted to the side: frame index, assignment in node order,
+    Q and degenerate flag."""
+    frames, seed, backbone, general = case
+    network = DynamicNetwork(frames)
+    work = report._Work(PipelineConfig(seed=seed, x_values=(10,), curve_x=(10,)),
+                         {"full": network})
+    work.splits = {10: kshell.BackboneSplit(10, backbone, general)}
+    for side, members in (("bsn", backbone), ("gsn", general)):
+        handed = pickle.loads(pickle.dumps(work.detect(10, "full", side, os.devnull)))
+        rebuilt = report._partitions(lambda: handed, network, members)
+        offset = report._SIDES[side][1]
+        want = [
+            community.detect(frame.restrict(members),
+                             community.frame_seed(seed + offset, frame.frame_index))
+            for frame in frames
+        ]
+        assert [
+            (p.frame_index, list(p.assignment.items()), p.q, p.degenerate)
+            for p in rebuilt
+        ] == [
+            (p.frame_index, list(p.assignment.items()), p.q, p.degenerate)
+            for p in want
+        ]
