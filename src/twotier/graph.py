@@ -7,15 +7,18 @@ frame.
 frame with it, and :func:`aggregate` the all-frames graph; ``restrict``
 derives subgraphs from a built graph.  Graphs are immutable by convention:
 no public mutator exists and every algorithm builds new instances, so
-per-frame work can run concurrently without locking.  Tier one's
-closeness, aggregate shells and coverage curves, tier two's restrictions,
-community detections and frame metrics, and the network, partition and
-abstract files run on forked worker processes, and the runs stay
+per-frame work can run concurrently without locking.  Four jobs run on
+forked worker processes: tier one's kernels on the aggregate graph
+(closeness, aggregate shells, both coverage curves) as one job; tier two's
+restrictions and community detections, with the partition file, per
+(X, filter, side); the network files of every filter as one job; and each
+(X, filter)'s frame metrics with its abstract file.  The runs stay
 bit-reproducible: each detection's seed depends only on the configured
 seed, the side of the split and the frame index, and the results are read
-back by (X, filter, side).  A detection hands back community labels in its
-restriction's node order, which ``FrameGraph.kept`` gives, so the main
-process puts them to its own node names.
+back by (X, filter, side).  No job hands back a member name: closeness
+comes back in the aggregate's node order, and a detection's community
+labels in its restriction's node order, which ``FrameGraph.kept`` gives,
+so the main process puts them to its own node names.
 """
 
 from __future__ import annotations

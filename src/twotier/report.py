@@ -163,21 +163,6 @@ class ProfileRow:
     avg_active_frames: float | None
 
 
-def _member_stats(teams, table: kshell.InfluenceTable, closeness_values: Mapping):
-    """One ``{member: value}`` column per statistic: aggregate degree,
-    closeness, type A and type B teams joined, and frames present in.
-    ``teams`` maps each activity type to a ``Counter`` of its teams per
-    member, which reads 0 for a member without one.  The table and the
-    closeness values both cover exactly the aggregate graph's nodes."""
-    return {
-        "degree": table.tiebreak_degree,
-        "closeness": closeness_values,
-        "type_a": teams[ActivityType.A],
-        "type_b": teams[ActivityType.B],
-        "active": table.active,
-    }
-
-
 def member_profiles(
     split: kshell.BackboneSplit, member_stats: Mapping[str, Mapping[str, float]]
 ) -> dict[str, ProfileRow]:
@@ -271,15 +256,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     tier one on the full network (influence, coverage, member statistics),
     then per backbone percentage X the split and, per activity-type filter,
     tier two (communities, evolution, abstraction).  Everything after the
-    splits runs through :func:`_worker_pool`: tier one's closeness,
-    aggregate shells and coverage curves go first, then tier two's
-    detections, which write the partition files, then the network files,
-    then each (X, filter)'s abstract file and frame metrics once its
-    abstract graphs exist.  The metric rows are read last, and each block's
-    tier-two means and edge weight totals come from them; the block's other
-    results are final as soon as its abstract graphs are built.  Every
-    item's result is read before the manifest is written, so a write that
-    fails on a worker fails the run.
+    splits runs through :func:`_worker_pool`: tier one's kernels go first,
+    as one step, then tier two's detections, which write the partition
+    files, then one step that writes every network file, then each
+    (X, filter)'s abstract file and frame metrics once its abstract graphs
+    exist.  The metric rows are read last, and each block's tier-two means
+    and edge weight totals come from them; the block's other results are
+    final as soon as its abstract graphs are built.  Every item's result is
+    read before the manifest is written, so a write that fails on a worker
+    fails the run.
 
     The previous bundle in ``out_dir`` is removed only once the log has
     been read and framed, so a log that fails to parse leaves it as it was.
@@ -295,19 +280,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     networks, network_block, teams = _build_networks(records, spec, config)
     del records  # the networks and the team counts hold all that is read later
     with _worker_pool(_Work(config, networks)) as work:
-        # a pool starts work in submission order, so the kernels whose
-        # results are read first start before the detections
-        kernels = [work.submit(step) for step in _TIER_ONE]
+        # a pool starts work in submission order, so tier one, whose result
+        # is read first, starts before the detections
+        kernels = work.submit("tier_one")
         detections = work.detections(bundle)
-        network_files = [
-            work.submit("write_edges", name, bundle.path(
-                "network/frames.csv" if name == "full" else f"network/frames_{name}.csv"
-            ))
+        network_files = work.submit("write_networks", [
+            bundle.path("network/frames.csv" if name == "full" else f"network/frames_{name}.csv")
             for name in networks
-        ]
-        member_stats, tier_one = _tier_one(
-            teams, work.table, *(read() for read in kernels), bundle
-        )
+        ])
+        member_stats, tier_one = _tier_one(teams, work.table, kernels(), bundle)
         summary = {"source": source, "network": network_block, **tier_one, "x": {}}
         result = PipelineResult(bundle.root, summary, networks["full"])
         pending = []
@@ -328,8 +309,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         for key, block, rows, fdir in pending:
             result.metrics[key] = _write_metrics(rows(), block, bundle, fdir)
             result.edge_totals[key] = block["tier2"]["edge_weight_totals"]
-        for written in network_files:
-            written()
+        network_files()
     _write_index(bundle, config, summary)
     result.elapsed_seconds = time.perf_counter() - started
     return result
@@ -383,18 +363,26 @@ def _block_dir(x, name: str) -> str:
     return f"x{x}/{name}"
 
 
-def _tier_one(teams, table: kshell.InfluenceTable, closeness_values,
-              aggregate_shells, dwks_curve, bundle: _Bundle):
-    """The rest of tier one on the full network, once its kernels' results
-    are in (see :class:`_Work`): per-member statistics, ``influence.csv``
-    and ``coverage.csv``.
+def _tier_one(teams, table: kshell.InfluenceTable, kernels, bundle: _Bundle):
+    """The rest of tier one on the full network, once the kernels' results
+    are in (see :meth:`_Work.tier_one`): per-member statistics,
+    ``influence.csv`` and ``coverage.csv``.
 
-    Returns the member statistics and the summary's ``shell_statistics``
-    and ``coverage`` blocks.
+    Returns the member statistics, one ``{member: value}`` column per
+    statistic, and the summary's ``shell_statistics`` and ``coverage``
+    blocks.
     """
-    shell_counts, aggregate_curve = aggregate_shells
-    curves = {"dwks": dwks_curve, "wks_aggregate": aggregate_curve}
-    member_stats = _member_stats(teams, table, closeness_values)
+    closeness, shell_counts, curves = kernels
+    # ``teams`` holds a ``Counter`` per activity type, which reads 0 for a
+    # member without such a team; the closeness values come in the
+    # aggregate graph's node order, the key order of the table's columns
+    member_stats = {
+        "degree": table.tiebreak_degree,
+        "closeness": dict(zip(table.total, memoryview(closeness).cast("d"), strict=True)),
+        "type_a": teams[ActivityType.A],
+        "type_b": teams[ActivityType.B],
+        "active": table.active,
+    }
     kshell.write_influence_csv(bundle.path("network/influence.csv"), table)
     kshell.write_coverage_csv(bundle.path("network/coverage.csv"), curves)
     blocks = {
@@ -462,11 +450,6 @@ def pool_workers(cpus: int, fork: bool, items: int, edges: int) -> int:
     return min(cpus, items)
 
 
-#: Tier one's kernels, the :class:`_Work` steps submitted ahead of the
-#: detections.
-_TIER_ONE = ("closeness", "aggregate_shells", "dwks_curve")
-
-
 class _Work:
     """The analysis steps that may run on worker processes, and what they
     read: the frame networks, the aggregate graph, the influence table and
@@ -475,13 +458,16 @@ class _Work:
     :meth:`detections` drops it.
 
     A worker inherits this object at fork, so only step names and each
-    item's arguments cross to a worker, and only results come back: a
-    detection's community labels (no member name: see :meth:`detect`), a
-    kernel's values, a block's metric rows.  The arguments (block keys,
-    abstract graphs, bundle paths) cross as one pickled ``bytes`` payload, made at submission, so an item that waits
-    for a worker holds no graph objects in this process.  Every step gives
-    the same result in any process: a detection's seed depends only on the
-    run's seed, the side and the frame index.
+    item's arguments cross to a worker, and only results come back, none
+    of them holding a member name: tier one's closeness values in the
+    aggregate's node order (:meth:`tier_one`), a detection's community
+    labels in its restriction's node order (:meth:`detect`), a block's
+    metric rows.  The arguments (block keys, abstract graphs, bundle
+    paths) cross as one pickled ``bytes`` payload, made at submission, so
+    an item that waits for a worker holds no graph objects in this
+    process.  Every step gives the same result in any process: a
+    detection's seed depends only on the run's seed, the side and the
+    frame index.
     """
 
     def __init__(self, config: PipelineConfig, networks) -> None:
@@ -514,7 +500,7 @@ class _Work:
         a pool, a block runs when its call is made, so that its work falls
         inside the ``community.detect_all`` that reads it.
 
-        Tier one's kernels, the aggregate graph's only readers, are
+        The tier-one step, the aggregate graph's only reader, is
         submitted before this, so the graph is dropped here.  Every worker
         has forked by now, except on a pool that forks on demand (Python
         3.10); a worker forked later is handed only frame metrics.
@@ -551,27 +537,31 @@ class _Work:
             for p in partitions
         ]
 
-    def write_edges(self, name: str, path) -> None:
-        """Write filter ``name``'s frame edges to ``path``."""
-        write_edge_csv(path, self.networks[name].frames)
+    def write_networks(self, paths) -> None:
+        """Write each filter's frame edges, in filter order, to ``paths``."""
+        for fnet, path in zip(self.networks.values(), paths, strict=True):
+            write_edge_csv(path, fnet.frames)
 
-    def closeness(self) -> dict[str, float]:
-        return closeness_all(self.agg)
-
-    def aggregate_shells(self):
-        """The summary's aggregate shell counts and the frame-free coverage
-        curve, both from the aggregate graph's shells."""
-        shells = kshell.wks_decompose(self.agg)
+    def tier_one(self) -> tuple[bytes, dict, dict]:
+        """Tier one's kernels, all reading the aggregate graph: the
+        closeness values, packed as doubles in the aggregate's node order
+        so that no member name crosses back from a worker; the summary's
+        aggregate shell counts; and the frame-aware (``dwks``) and
+        frame-free (``wks_aggregate``) coverage curves."""
+        agg = self.agg
+        closeness = array("d", closeness_all(agg).values()).tobytes()
+        shells = kshell.wks_decompose(agg)
         counts = {
             "aggregate_distinct_shells": len(set(shells.values())),
             "aggregate_max_shell": max(shells.values(), default=0),
         }
-        ranked = kshell.aggregate_ranking(self.agg, shells)
-        return counts, kshell.coverage_curve([self.agg], ranked, self.curve_x)
-
-    def dwks_curve(self) -> list[tuple[float, float]]:
+        ranked = kshell.aggregate_ranking(agg, shells)
         frames = self.networks["full"].frames
-        return kshell.coverage_curve(frames, self.table.ranking(), self.curve_x)
+        curves = {
+            "dwks": kshell.coverage_curve(frames, self.table.ranking(), self.curve_x),
+            "wks_aggregate": kshell.coverage_curve([agg], ranked, self.curve_x),
+        }
+        return closeness, counts, curves
 
     def frame_rows(self, agraphs, path) -> list[dict]:
         """Write one block's abstract graphs to ``path``; their metric rows."""
@@ -609,15 +599,17 @@ def _worker_pool(work: _Work) -> Iterator[_Work]:
     With :func:`pool_workers` above 0, the steps go to a ``fork`` pool
     whose workers inherit the work; the pool takes items in submission
     order, and the workers run ahead while this process classifies and
-    abstracts.  A work item is one tier-one kernel, the detections of one
-    (X, filter, side) with its partition file, one network file, or the
-    abstract file and frame metrics of one (X, filter).
-    Otherwise each step runs here.  A worker's exception is raised when its
-    result is read; a worker that dies raises ``BrokenProcessPool``.
+    abstracts.  A work item is one of four steps: tier one's kernels (one
+    item), the detections of one (X, filter, side) with its partition
+    file, the network files of every filter (one item), or the abstract
+    file and frame metrics of one (X, filter).  Otherwise each step runs
+    here.  A worker's exception is raised when its result is read; a
+    worker that dies raises ``BrokenProcessPool``.
     """
     edges = sum(f.edge_count for f in work.networks["full"].frames)
     blocks = len(work.splits) * len(work.networks)
-    items = len(_TIER_ONE) + blocks * len(_SIDES) + len(work.networks) + blocks
+    # tier one, the detections, the network files, the frame metrics
+    items = 1 + blocks * len(_SIDES) + 1 + blocks
     # a fork copies no thread but every lock, so a lock that another thread
     # of the caller holds would stay locked in the workers
     fork = hasattr(os, "fork") and threading.active_count() == 1

@@ -7,7 +7,7 @@ sweep, explicit path enumeration, dense matrices.  Keep it that way.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -368,3 +368,27 @@ def reference_classify(frames, alpha=0.5, beta=0.5, continue_jaccard=0.5):
     order = list(EventKind)
     events.sort(key=lambda e: (e.frame, order.index(e.kind), e.successors, e.predecessors))
     return Timeline(events, track_of)
+
+
+def nmi(labels_a, labels_b) -> float:
+    """Normalized mutual information of two labelings of the same items,
+    ``2 I(A; B) / (H(A) + H(B))`` (the arithmetic-mean normalization), by
+    counting label pairs.  Two labelings that each put every item in one
+    group agree fully and score 1.0.
+    """
+    n = len(labels_a)
+    if n == 0 or n != len(labels_b):
+        raise ValueError("need two labelings of the same non-empty items")
+
+    def entropy(counts):
+        return -sum(c / n * math.log(c / n) for c in counts.values())
+
+    count_a, count_b = Counter(labels_a), Counter(labels_b)
+    joint = Counter(zip(labels_a, labels_b))
+    mutual = sum(
+        c / n * math.log(c * n / (count_a[a] * count_b[b])) for (a, b), c in joint.items()
+    )
+    h_a, h_b = entropy(count_a), entropy(count_b)
+    if h_a + h_b == 0:
+        return 1.0
+    return max(0.0, 2 * mutual / (h_a + h_b))

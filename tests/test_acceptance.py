@@ -8,6 +8,7 @@ heavyweight checks share one full run of the default synthetic preset.
 import json
 import math
 import random
+import statistics
 import time
 from itertools import combinations
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from twotier.abstraction import betweenness, density
-from twotier.community import detect, modularity
+from twotier.community import detect, modularity, read_partition_csv
 from twotier.evolution import ATTRIBUTE, EventKind, classify
 from twotier.graph import DynamicNetwork, FrameGraph, aggregate
 from twotier.ingest import build_frames
@@ -38,7 +39,7 @@ from .fixtures import (
     planted_partition,
     scripted_event_timeline,
 )
-from .oracles import naive_wks, brute_betweenness, random_weighted_adj
+from .oracles import naive_wks, brute_betweenness, nmi, random_weighted_adj
 
 X_VALUES = (5, 10, 20)
 
@@ -378,6 +379,54 @@ def test_backbone_recovers_the_planted_core(preset_run):
         "nearly all of them at X=10 and X=20",
         len(core) == 250 and not problems,
         "; ".join(problems) or ", ".join(f"X={x}: {n}/{len(core)}" for x, n in held.items()),
+    )
+
+
+#: (X, side) -> least per-frame and least median NMI between the ``full``
+#: filter's communities and the planted blocks of their members.  Each is a
+#: margin below the least value the ``large`` preset gives on seeds 3, 7, 11
+#: and 42 over its 24 frames, which is, per-frame / median and rounded
+#: down: X=5 BSN 0.414 / 0.569, GSN 0.794 / 0.818; X=20 BSN 0.652 / 0.705,
+#: GSN 0.839 / 0.874.
+_BLOCK_NMI_FLOORS = {
+    (5, "bsn"): (0.35, 0.52),
+    (5, "gsn"): (0.75, 0.77),
+    (20, "bsn"): (0.60, 0.65),
+    (20, "gsn"): (0.80, 0.82),
+}
+
+
+def test_nmi_oracle_closed_forms():
+    assert nmi("aabb", "xxyy") == 1.0
+    assert nmi("aaaa", "xxxx") == 1.0
+    assert nmi("aabb", "xyxy") == 0.0  # independent labelings
+    assert nmi("aaaa", "xxyy") == 0.0
+    # B determines A, so I = H(A) = ln 3 - (2/3) ln 2, and H(B) = ln 3
+    h_a = math.log(3) - 2 / 3 * math.log(2)
+    assert math.isclose(nmi("aab", "xyz"), 2 * h_a / (h_a + math.log(3)))
+
+
+def test_communities_recover_the_planted_blocks(preset_run):
+    """Per frame, each side's communities at X=5 and X=20 (``full``
+    filter) share information with the planted blocks of their members."""
+    _, out, _ = preset_run
+    blocks = json.loads((out / "ground_truth.json").read_text())["blocks"]
+    problems, shown = [], []
+    for (x, side), (frame_floor, median_floor) in _BLOCK_NMI_FLOORS.items():
+        frames = read_partition_csv(out / f"x{x}/full/partitions_{side}.csv")
+        scores = [
+            nmi(list(assignment.values()), [blocks[m] for m in assignment])
+            for assignment in frames.values()
+        ]
+        low, median = min(scores), statistics.median(scores)
+        if len(scores) != 24 or low < frame_floor or median < median_floor:
+            problems.append(f"X={x} {side}: {len(scores)} frames, min {low:.3f} "
+                            f"(floor {frame_floor}), median {median:.3f} (floor {median_floor})")
+        shown.append(f"X={x} {side} min {low:.3f} median {median:.3f}")
+    _verdict(
+        "each frame's communities recover the planted blocks at X=5 and X=20",
+        not problems,
+        "; ".join(problems) or ", ".join(shown),
     )
 
 

@@ -1,6 +1,7 @@
 """The analysis on worker processes (tier one's kernels, tier two's
-detections and frame metrics): the same bundle, a bounded worker count,
-and failures that reach the caller."""
+detections and frame metrics, the bundle's network, partition and abstract
+files): the same bundle, a bounded worker count, failures that reach the
+caller, and results that hold no member name."""
 
 import collections
 import gc
@@ -254,17 +255,16 @@ def test_one_work_item_per_x_filter_and_side(tmp_path, monkeypatch):
     result = run_pipeline(PipelineConfig(out_dir=str(pooled), **config))
     assert chosen == [2]
     assert result.network.frame_count > 1
-    # detections per (X, filter, side), tier one's three kernels, a network
-    # file per filter, and frame metrics per (X, filter); none of them is
-    # per frame
-    assert len(submitted) == 2 * 3 * 2 + 3 + 3 + 2 * 3
+    # detections per (X, filter, side), tier one's kernels as one item, the
+    # network files of every filter as one item, and frame metrics per
+    # (X, filter); none of them is per frame
+    assert len(submitted) == 2 * 3 * 2 + 1 + 1 + 2 * 3
     # each item's arguments cross as one pickled payload
     assert [(fn, type(payload)) for fn, _step, payload in submitted] == [
         (report._in_worker, bytes)
     ] * len(submitted)
-    assert {step for _fn, step, _payload in submitted} == {
-        "closeness", "aggregate_shells", "dwks_curve", "detect", "write_edges",
-        "frame_rows",
+    assert collections.Counter(step for _fn, step, _payload in submitted) == {
+        "tier_one": 1, "detect": 2 * 3 * 2, "write_networks": 1, "frame_rows": 2 * 3,
     }
     # the aggregate graph is gone once its last readers are submitted
     assert dropped == [True]
@@ -465,6 +465,46 @@ def test_detections_hand_back_labels_and_tier_two_reads_its_own_names(
     strings = [arg for data in handed for _op, arg, _pos in pickletools.genops(data)
                if isinstance(arg, str)]
     assert strings == []
+
+
+@pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=needs_fork)])
+def test_no_pool_step_hands_back_a_member_name(tmp_path, monkeypatch, pooled):
+    """Every step's result, pickled, holds no string equal to a member
+    name: tier one's closeness values and the detections' labels come back
+    in node order, and this process puts its own names to them."""
+    chosen = _force_pool(monkeypatch) if pooled else []
+    submit, detections = report._Work.submit, report._Work.detections
+    handed = []  # (step, pickled result)
+
+    def recorded(step, call):
+        def read():
+            value = call()
+            handed.append((step, pickle.dumps(value)))
+            return value
+
+        return read
+
+    def submitting(self, step, *args):
+        return recorded(step, submit(self, step, *args))
+
+    def detecting(self, bundle):
+        return {key: recorded("detect", call)
+                for key, call in detections(self, bundle).items()}
+
+    monkeypatch.setattr(report._Work, "submit", submitting)
+    monkeypatch.setattr(report._Work, "detections", detecting)
+    result = run_pipeline(PipelineConfig(preset="small", out_dir=str(tmp_path)))
+    assert chosen == ([2] if pooled else [])
+    members = result.network.members
+    named = {
+        (step, arg) for step, data in handed
+        for _op, arg, _pos in pickletools.genops(data)
+        if isinstance(arg, str) and arg in members
+    }
+    assert named == set()
+    assert {step for step, _data in handed} == {
+        "tier_one", "detect", "write_networks", "frame_rows",
+    }
 
 
 _NAMES = [f"m{i}" for i in range(7)]
